@@ -1,7 +1,6 @@
 #include "platform/platform.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -87,7 +86,6 @@ class ServerlessPlatform::Impl {
  public:
   explicit Impl(PlatformOptions options)
       : options_(std::move(options)),
-        sim_(options_.sim),
         cluster_(options_.cluster),
         transport_(MakeTransport(options_)),
         store_(store::MakeStateStore(options_.store)),
@@ -158,20 +156,11 @@ class ServerlessPlatform::Impl {
                                               options_.memory_sample_interval.value()) +
                               2);
     }
-    if (options_.stream_trace_arrivals) {
-      // Reserve the whole trace's tie-break seqs up front: streamed feeding
-      // then fires in exactly the order bulk feeding would have, so the two
-      // modes are bit-identical in everything but scheduler cost.
-      arrival_seq_base_ = sim_.ReserveSeqBlock(trace.size());
-      ScheduleArrivalChain(trace, 0);
-    } else {
-      // Pre-refactor bulk feed: the whole trace enters the scheduler at once
-      // and far-future arrivals camp in its long-range tier for the entire
-      // run. Kept for bench/cluster_scale's before/after comparison.
-      for (const TraceEvent& ev : trace) {
-        sim_.Schedule(ev.time, [this, ev] { HandleRequest(ev); });
-      }
-    }
+    // Reserve the whole trace's tie-break seqs up front: an arrival then
+    // fires ahead of every same-time event scheduled after Run() began, as
+    // if the whole trace had been scheduled at once.
+    arrival_seq_base_ = sim_.ReserveSeqBlock(trace.size());
+    ScheduleArrivalChain(trace, 0);
     // Memory sampling covers the trace plus a drain tail.
     const SimTime end = trace.empty() ? SimTime{} : trace.back().time;
     for (SimTime t; t <= end + 10 * kMinute; t += options_.memory_sample_interval) {
@@ -231,9 +220,6 @@ class ServerlessPlatform::Impl {
       sim_.Cancel(sb.pending_timer);
       sb.pending_timer = 0;
     }
-    // Coalesced idle-expiry enrollment cancels lazily: the bucket entry stays
-    // queued and is skipped when its deadline no longer matches.
-    sb.idle_deadline = SimTime{};
   }
 
   Sandbox* PickWarm(FunctionId f) {
@@ -569,23 +555,13 @@ class ServerlessPlatform::Impl {
     }
   }
 
-  // Enrolls a warm sandbox for an idle-expiry decision one idle period from
-  // now. Coalesced mode batches every sandbox sharing a deadline behind one
-  // timer event; the fallback arms one timer per sandbox.
+  // Arms a warm sandbox's idle-expiry decision one idle period from now.
+  // Like the keep-alive timers, it is cancelled by CancelTimer when the
+  // sandbox is reused, pressure-deduped or purged first.
   void ArmIdle(Sandbox& sb) {
     const SandboxId id = sb.id;
-    if (!options_.coalesce_idle_expiry) {
-      sb.pending_timer =
-          sim_.ScheduleAfter(options_.medes.idle_period, [this, id] { OnIdleTimer(id); });
-      return;
-    }
-    const SimTime deadline = sim_.Now() + options_.medes.idle_period;
-    sb.idle_deadline = deadline;
-    std::vector<SandboxId>& bucket = idle_buckets_[deadline];
-    if (bucket.empty()) {
-      sim_.Schedule(deadline, [this, deadline] { OnIdleBucket(deadline); });
-    }
-    bucket.push_back(id);
+    sb.pending_timer =
+        sim_.ScheduleAfter(options_.medes.idle_period, [this, id] { OnIdleTimer(id); });
   }
 
   void OnPurgeTimer(SandboxId id) {
@@ -604,26 +580,6 @@ class ServerlessPlatform::Impl {
     }
     sb->pending_timer = 0;
     IdleExpiry(*sb);
-  }
-
-  // One deadline's worth of coalesced idle expiries. Entries whose sandbox
-  // died, left kWarm, or re-enrolled under a different deadline are skipped —
-  // that is the lazy cancellation CancelTimer relies on.
-  void OnIdleBucket(SimTime deadline) {
-    auto it = idle_buckets_.find(deadline);
-    if (it == idle_buckets_.end()) {
-      return;
-    }
-    const std::vector<SandboxId> due = std::move(it->second);
-    idle_buckets_.erase(it);
-    for (const SandboxId id : due) {
-      Sandbox* sb = cluster_.Find(id);
-      if (sb == nullptr || sb->state != SandboxState::kWarm || sb->idle_deadline != deadline) {
-        continue;
-      }
-      sb->idle_deadline = SimTime{};
-      IdleExpiry(*sb);
-    }
   }
 
   // The Medes idle-period decision for one warm sandbox (paper Fig. 4b):
@@ -739,11 +695,6 @@ class ServerlessPlatform::Impl {
   DedupAgent agent_;
   MedesController controller_;
   std::vector<AdaptiveKeepAlive> adaptive_;
-
-  // Coalesced Medes idle-expiry: sandboxes due for a decision, bucketed by
-  // deadline. One timer event serves the whole bucket; lazily-cancelled
-  // entries (idle_deadline mismatch) are skipped at fire time.
-  std::map<SimTime, std::vector<SandboxId>> idle_buckets_;
 
   // The discrete-event loop is single-threaded today, but recording sites
   // take this lock so per-op metrics stay coherent when ops move onto the

@@ -87,19 +87,6 @@ TEST(PlatformTest, WarmStartsDominateHotFunctions) {
   EXPECT_GT(vanilla.warm_starts, vanilla.cold_starts);
 }
 
-TEST(PlatformTest, DeterministicAcrossRuns) {
-  auto trace = ShortTrace();
-  RunMetrics a = ServerlessPlatform(FastOptions(PolicyKind::kMedes)).Run(trace);
-  RunMetrics b = ServerlessPlatform(FastOptions(PolicyKind::kMedes)).Run(trace);
-  ASSERT_EQ(a.requests.size(), b.requests.size());
-  for (size_t i = 0; i < a.requests.size(); ++i) {
-    EXPECT_EQ(a.requests[i].e2e, b.requests[i].e2e) << "request " << i;
-    EXPECT_EQ(a.requests[i].start, b.requests[i].start);
-  }
-  EXPECT_EQ(a.dedup_ops, b.dedup_ops);
-  EXPECT_EQ(a.TotalColdStarts(), b.TotalColdStarts());
-}
-
 // Full workload-visible equality between two runs: every request record,
 // the memory timeline, dedup/restore counters, and transport traffic.
 void ExpectRunMetricsEqual(const RunMetrics& a, const RunMetrics& b) {
@@ -138,43 +125,41 @@ void ExpectRunMetricsEqual(const RunMetrics& a, const RunMetrics& b) {
   }
 }
 
-// The calendar and heap engines must be workload-indistinguishable: a full
-// Medes run produces byte-identical metrics under either.
-TEST(PlatformTest, EventEnginesProduceIdenticalMetrics) {
-  auto trace = ShortTrace(8 * kMinute);
-  PlatformOptions cal_opts = FastOptions(PolicyKind::kMedes);
-  cal_opts.sim.engine = SimEngine::kCalendar;
-  PlatformOptions heap_opts = FastOptions(PolicyKind::kMedes);
-  heap_opts.sim.engine = SimEngine::kHeap;
-  RunMetrics cal = ServerlessPlatform(cal_opts).Run(trace);
-  RunMetrics heap = ServerlessPlatform(heap_opts).Run(trace);
-  ExpectRunMetricsEqual(cal, heap);
+TEST(PlatformTest, DeterministicAcrossRuns) {
+  auto trace = ShortTrace();
+  RunMetrics a = ServerlessPlatform(FastOptions(PolicyKind::kMedes)).Run(trace);
+  RunMetrics b = ServerlessPlatform(FastOptions(PolicyKind::kMedes)).Run(trace);
+  ExpectRunMetricsEqual(a, b);
 }
 
-// Coalesced idle-expiry (one timer per deadline bucket) must make the same
-// decisions as per-sandbox timers, decision for decision.
-TEST(PlatformTest, CoalescedIdleExpiryMatchesPerSandboxTimers) {
+// The controller reads per-(function, state) sandbox counts from counters
+// the cluster maintains at every transition. A probe every simulated minute
+// of a Medes run checks them against a scan of the live sandboxes.
+TEST(PlatformTest, IncrementalStateCountsMatchScanDuringRun) {
   auto trace = ShortTrace(8 * kMinute);
-  PlatformOptions on_opts = FastOptions(PolicyKind::kMedes);
-  on_opts.coalesce_idle_expiry = true;
-  PlatformOptions off_opts = FastOptions(PolicyKind::kMedes);
-  off_opts.coalesce_idle_expiry = false;
-  RunMetrics on = ServerlessPlatform(on_opts).Run(trace);
-  RunMetrics off = ServerlessPlatform(off_opts).Run(trace);
-  ExpectRunMetricsEqual(on, off);
-}
-
-// The streaming arrival feed (chained scheduling with reserved seqs) must be
-// workload-invisible: identical metrics to bulk-scheduling the whole trace.
-TEST(PlatformTest, StreamedArrivalFeedMatchesBulkFeed) {
-  auto trace = ShortTrace(8 * kMinute);
-  PlatformOptions stream_opts = FastOptions(PolicyKind::kMedes);
-  stream_opts.stream_trace_arrivals = true;
-  PlatformOptions bulk_opts = FastOptions(PolicyKind::kMedes);
-  bulk_opts.stream_trace_arrivals = false;
-  RunMetrics streamed = ServerlessPlatform(stream_opts).Run(trace);
-  RunMetrics bulk = ServerlessPlatform(bulk_opts).Run(trace);
-  ExpectRunMetricsEqual(streamed, bulk);
+  ServerlessPlatform platform(FastOptions(PolicyKind::kMedes));
+  const Cluster& cluster = platform.cluster();
+  const auto num_functions = static_cast<FunctionId>(FunctionBenchProfiles().size());
+  int probes = 0;
+  bool saw_dedup = false;
+  for (SimTime t; t <= trace.back().time + 10 * kMinute; t += kMinute) {
+    platform.sim().Schedule(t, [&] {
+      ++probes;
+      for (FunctionId f = 0; f < num_functions; ++f) {
+        for (SandboxState s : {SandboxState::kRunning, SandboxState::kWarm, SandboxState::kDedup}) {
+          const int count = cluster.CountIn(f, s);
+          EXPECT_EQ(static_cast<size_t>(count), cluster.SandboxesIn(f, s).size())
+              << "function " << f << " state " << ToString(s) << " at "
+              << platform.sim().Now();
+          saw_dedup = saw_dedup || (s == SandboxState::kDedup && count > 0);
+        }
+      }
+    });
+  }
+  const RunMetrics m = platform.Run(trace);
+  EXPECT_GE(probes, 18);
+  EXPECT_GT(m.dedup_ops, 0u);
+  EXPECT_TRUE(saw_dedup);
 }
 
 TEST(PlatformTest, RunTwiceRejected) {
