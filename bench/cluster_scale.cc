@@ -14,9 +14,7 @@
 // Usage: cluster_scale [output.json]        (default: BENCH_cluster_scale.json)
 // Env:   MEDES_CLUSTER_SCALE_MODE=smoke     CI perf-smoke config (small sweep
 //                                           and loop; same JSON schema)
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -47,7 +45,7 @@ struct SweepResult {
   double wall_seconds = 0;
   double events_per_sec = 0;
   double cold_start_rate = 0;
-  double p99_dedup_startup_ms = 0;
+  double p99_dedup_startup_ms = 0;  // nearest rank; 0 without dedup starts
   double memory_saved_mb = 0;
   uint64_t transport_bytes = 0;
 };
@@ -64,25 +62,6 @@ std::vector<TraceEvent> TraceFor(const SweepConfig& c) {
   topts.duration = c.duration;
   topts.rate_scale = c.rate_scale;
   return GenerateTrace(DefaultAzurePatterns(), topts);
-}
-
-// Nearest-rank P99 of dedup-start startup latency; 0 when nothing started
-// from a dedup sandbox.
-double DedupStartupP99Ms(const RunMetrics& m) {
-  std::vector<double> startup_ms;
-  for (const RequestRecord& r : m.requests) {
-    if (r.start == StartType::kDedup) {
-      startup_ms.push_back(ToMillis(r.startup));
-    }
-  }
-  if (startup_ms.empty()) {
-    return 0;
-  }
-  const size_t k =
-      static_cast<size_t>(std::ceil(0.99 * static_cast<double>(startup_ms.size()))) - 1;
-  std::nth_element(startup_ms.begin(), startup_ms.begin() + static_cast<ptrdiff_t>(k),
-                   startup_ms.end());
-  return startup_ms[k];
 }
 
 double TotalSavedMb(const RunMetrics& m) {
@@ -118,7 +97,7 @@ SweepResult RunSweepPoint(const SweepConfig& c) {
   r.cold_start_rate = r.requests > 0 ? static_cast<double>(metrics.TotalColdStarts()) /
                                            static_cast<double>(r.requests)
                                      : 0;
-  r.p99_dedup_startup_ms = DedupStartupP99Ms(metrics);
+  r.p99_dedup_startup_ms = metrics.StartupPercentileMs(StartType::kDedup, 0.99);
   r.memory_saved_mb = TotalSavedMb(metrics);
   r.transport_bytes = TotalTransportBytes(metrics);
   return r;

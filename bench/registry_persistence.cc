@@ -50,27 +50,12 @@ struct RunResult {
   uint64_t requests = 0;
   uint64_t dedup_starts = 0;
   double saved_mb = 0;
+  // Nearest-rank P99 of dedup-start startup latency — the restores the cold
+  // tier slows down when the budget binds.
   double restore_p99_ms = 0;
   double wall_seconds = 0;
   store::StoreStats store;
 };
-
-// P99 of startup latency over dedup starts — the restores the cold tier
-// slows down when the budget binds.
-double RestoreP99Ms(const RunMetrics& m) {
-  std::vector<double> ms;
-  for (const RequestRecord& r : m.requests) {
-    if (r.start == StartType::kDedup) {
-      ms.push_back(ToSeconds(r.startup) * 1000.0);
-    }
-  }
-  if (ms.empty()) {
-    return 0;
-  }
-  const size_t k = static_cast<size_t>(0.99 * static_cast<double>(ms.size() - 1));
-  std::nth_element(ms.begin(), ms.begin() + static_cast<ptrdiff_t>(k), ms.end());
-  return ms[k];
-}
 
 double TotalSavedMb(const RunMetrics& m) {
   double total = 0;
@@ -92,7 +77,7 @@ RunResult RunPoint(const SweepPoint& p, const std::vector<TraceEvent>& trace,
   r.requests = metrics.TotalRequests();
   r.dedup_starts = bench::TotalDedupStarts(metrics);
   r.saved_mb = TotalSavedMb(metrics);
-  r.restore_p99_ms = RestoreP99Ms(metrics);
+  r.restore_p99_ms = metrics.StartupPercentileMs(StartType::kDedup, 0.99);
   r.wall_seconds = bench::WallSeconds() - t0;
   r.store = metrics.store;
   return r;

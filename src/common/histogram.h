@@ -1,7 +1,7 @@
 // Simple value recorders used for experiment metrics: exact percentiles over
-// recorded samples, a fixed-bucket histogram for streaming summaries, and the
-// shared power-of-two bucketing convention used by every order-independent
-// histogram in the tree (net::LatencyHistogram, obs::Histogram).
+// recorded samples, and the shared power-of-two bucketing convention used by
+// every order-independent histogram in the tree (net::LatencyHistogram,
+// obs::Histogram).
 #ifndef MEDES_COMMON_HISTOGRAM_H_
 #define MEDES_COMMON_HISTOGRAM_H_
 
@@ -63,25 +63,6 @@ class SampleRecorder {
   // Percentile sorts lazily into this cache.
   mutable std::vector<double> sorted_;
   std::vector<double> samples_;
-};
-
-// Fixed-width bucket counter over [lo, hi); out-of-range values clamp to the
-// edge buckets. Used for time-series summaries (e.g. memory usage snapshots).
-class BucketHistogram {
- public:
-  BucketHistogram(double lo, double hi, size_t buckets);
-
-  void Record(double v);
-  uint64_t BucketCount(size_t i) const { return counts_.at(i); }
-  size_t NumBuckets() const { return counts_.size(); }
-  double BucketLow(size_t i) const;
-  uint64_t TotalCount() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace medes

@@ -35,7 +35,6 @@ void MedesController::RecordArrival(FunctionId function, SimTime now) {
 
 void MedesController::RecordDedupResult(FunctionId function, const DedupOpResult& result) {
   auto& t = tracking_.at(static_cast<size_t>(function));
-  ++t.dedups;
   const double total_mb =
       static_cast<double>(result.pages_total) * static_cast<double>(kPageSize) * scale_to_mb_;
   const double saved_mb = static_cast<double>(result.saved_bytes) * scale_to_mb_;
@@ -48,7 +47,6 @@ void MedesController::RecordDedupResult(FunctionId function, const DedupOpResult
 
 void MedesController::RecordRestoreResult(FunctionId function, const RestoreOpResult& result) {
   auto& t = tracking_.at(static_cast<size_t>(function));
-  ++t.restores;
   UpdateEma(t.dedup_start_s, ToSeconds(result.total_time));
 }
 

@@ -113,8 +113,6 @@ class MedesController {
     double dedup_mb = -1;
     double restore_overhead_mb = -1;
     double dedup_start_s = -1;
-    uint64_t dedups = 0;
-    uint64_t restores = 0;
   };
 
   static void UpdateEma(double& ema, double sample) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <unordered_set>
@@ -97,6 +100,75 @@ const AgentInstruments& Instruments() {
   return instruments;
 }
 
+// Indexes of `cp`'s resident (non-zero) pages, ascending.
+std::vector<size_t> ResidentPages(const MemoryCheckpoint& cp) {
+  std::vector<size_t> resident;
+  resident.reserve(cp.NumPages());
+  for (size_t page = 0; page < cp.NumPages(); ++page) {
+    if (cp.SlotState(page) == PageSlotState::kResident) {
+      resident.push_back(page);
+    }
+  }
+  return resident;
+}
+
+// Truncates modelled microseconds to a duration.
+SimDuration Whole(double us) { return SimDuration{static_cast<int64_t>(us)}; }
+
+// The agent's modelled-cost formulas. ScaledUs is the one conversion from
+// measured to represented scale; durations truncate to whole microseconds
+// once, last.
+struct CostModel {
+  const DedupAgentOptions& options;
+  double scale;
+
+  double ScaledUs(double us) const { return us * scale; }
+  SimDuration Scaled(SimDuration cost) const {
+    return Whole(ScaledUs(static_cast<double>(cost.value())));
+  }
+  SimDuration PerPageTime(SimDuration per_page, size_t pages) const {
+    return Whole(ScaledUs(static_cast<double>(per_page.value()) * static_cast<double>(pages)));
+  }
+  // Patch encode/decode over `bytes` at patch_bytes_per_us.
+  double ComputeUs(size_t bytes) const {
+    return ScaledUs(static_cast<double>(bytes)) / options.patch_bytes_per_us;
+  }
+  SimDuration ComputeTime(size_t bytes) const { return Whole(ComputeUs(bytes)); }
+  // CRIU rebuild mapping `pages` pages, plus namespace/process-tree setup.
+  SimDuration CriuTime(size_t pages, bool with_namespaces) const {
+    const SimDuration map = PerPageTime(options.criu.restore_per_page, pages);
+    return with_namespaces ? map + options.criu.namespace_and_ptree : map;
+  }
+};
+
+// Lays `stages` out as back-to-back spans from `start`, each under
+// parent.Child(name): the same pure derivation the stage's wire messages
+// used, so their parent links resolve. Returns the end of the last stage.
+SimTime RecordStages(const obs::TraceContext& parent, const char* category, NodeId node,
+                     SimTime start,
+                     std::initializer_list<std::pair<const char*, SimDuration>> stages) {
+  for (const auto& [name, duration] : stages) {
+    obs::ScopedSpan span(name, category, start, node.value(), parent.Child(name));
+    span.SetSimDuration(duration);
+    start += duration;
+  }
+  return start;
+}
+
+// Adds one restore phase's base reads into an op result.
+template <typename Phase, typename Result>
+void AddReads(const Phase& phase, Result& result) {
+  result.base_pages_read += phase.base_pages;
+  result.base_bytes_read += phase.base_bytes;
+  result.remote_reads += phase.remote_reads;
+}
+
+// The critical phase's fetch stage: eager reads every base serially under
+// "restore/base_read", lazy coalesces the working set under "restore/ws_fetch".
+const char* FetchStage(RestoreMode mode) {
+  return mode == RestoreMode::kLazy ? "restore/ws_fetch" : "restore/base_read";
+}
+
 }  // namespace
 
 const char* ToString(RestoreMode mode) {
@@ -145,40 +217,22 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   const obs::TraceContext lookup_ctx = op_ctx.Child("dedup/registry_lookup");
   const obs::TraceContext read_ctx = op_ctx.Child("dedup/base_read");
   // Re-dedup while a lazy restore's background phase is still outstanding:
-  // the fresh checkpoint captured below supersedes the old one, so abandon
-  // the pending fetch and release the leftover base refs instead of pulling
-  // pages nobody will read.
-  if (HasPendingBackgroundRestore(sb.id)) {
-    for (const PatchRecord& record : sb.patches) {
-      for (const PageLocation& base : record.bases) {
-        registry_.Unref(base.sandbox);
-      }
-    }
-    sb.patches.clear();
-    sb.checkpoint.reset();
-    AbandonBackgroundRestore(sb.id);
-  }
+  // the fresh checkpoint captured below supersedes the old one, so release
+  // the leftover base refs instead of pulling pages nobody will read.
+  ReleasePatches(sb);
+  sb.checkpoint.reset();
   DedupOpResult result;
-  const double scale = ScaleFactor();
+  const CostModel cost{options_, ScaleFactor()};
 
   // 1. Memory checkpoint of the warm sandbox.
   MemoryImage image = cluster_.BuildImage(sb);
   MemoryCheckpoint cp = MemoryCheckpoint::Capture(image);
   result.pages_total = cp.NumPages();
   result.pages_zero = cp.NumZero();
-  result.checkpoint_time = SimDuration{static_cast<int64_t>(
-      static_cast<double>(options_.criu.capture_per_page.value()) *
-      static_cast<double>(cp.NumPages()) * scale)};
+  result.checkpoint_time = cost.PerPageTime(options_.criu.capture_per_page, cp.NumPages());
 
-  std::vector<size_t> resident;
-  resident.reserve(cp.NumPages());
-  for (size_t page = 0; page < cp.NumPages(); ++page) {
-    if (cp.SlotState(page) == PageSlotState::kResident) {
-      resident.push_back(page);
-    }
-  }
+  const std::vector<size_t> resident = ResidentPages(cp);
   const size_t n = resident.size();
-
   // 2. Fingerprint every resident page (parallel).
   std::vector<PageFingerprint> fingerprints = FingerprintPages(cp, resident);
 
@@ -228,8 +282,7 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
 
   // Lookup time is now final (state-store touches included); scale it here
   // so the base-read stage below knows its position in the op's timeline.
-  result.lookup_time =
-      SimDuration{static_cast<int64_t>(static_cast<double>(lookup_cost.value()) * scale)};
+  result.lookup_time = cost.Scaled(lookup_cost);
 
   // 4. Base-page reads, serial in canonical page order: the fabric cache's
   // hit/miss sequence — and therefore the modelled RDMA cost — depends only
@@ -287,7 +340,6 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   });
 
   // 6. Merge in page order: counters, refcounts, patch records, slot edits.
-  sb.patches.clear();
   for (size_t i = 0; i < n; ++i) {
     const size_t page = resident[i];
     if (accepted[i] == 0) {
@@ -315,10 +367,8 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   // Zero pages also count as saved memory relative to the warm state.
   result.saved_bytes += result.pages_zero * kPageSize;
 
-  result.patch_time =
-      SimDuration{static_cast<int64_t>(static_cast<double>(rdma_cost.value()) * scale)} +
-      SimDuration{static_cast<int64_t>(static_cast<double>(result.patch_bytes) * scale /
-                                       options_.patch_bytes_per_us)};
+  const SimDuration base_read_time = cost.Scaled(rdma_cost);
+  result.patch_time = base_read_time + cost.ComputeTime(result.patch_bytes);
   result.total_time = result.checkpoint_time + result.lookup_time + result.patch_time;
 
   // Prepare namespaces / process tree now so dedup starts skip it.
@@ -352,29 +402,19 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
     // One span per pipeline stage, laid out sequentially from `now` in the
     // op's modelled timeline. Base reads and delta encoding split patch_time
     // into its wire and compute terms.
-    const SimDuration base_read_time =
-        SimDuration{static_cast<int64_t>(static_cast<double>(rdma_cost.value()) * scale)};
-    const SimDuration delta_time = result.patch_time - base_read_time;
     obs::ScopedSpan op("dedup_op", "dedup", now, sb.node.value(), op_ctx);
     op.SetSimDuration(result.total_time);
     op.AddArg("pages", static_cast<int64_t>(result.pages_total));
     op.AddArg("deduped", static_cast<int64_t>(result.pages_deduped));
     op.AddArg("patch_bytes", static_cast<int64_t>(result.patch_bytes));
-    SimTime cursor = now;
-    // Stage contexts re-derive via op_ctx.Child(name) — the same pure
-    // function the message sends above used, so the recorded lookup/read
-    // stage spans carry exactly the ids their wire children point at.
-    auto stage = [&](const char* name, SimDuration dur) {
-      obs::ScopedSpan span(name, "dedup", cursor, sb.node.value(), op_ctx.Child(name));
-      span.SetSimDuration(dur);
-      cursor += dur;
-    };
-    stage("dedup/checkpoint", result.checkpoint_time);
-    stage("dedup/fingerprint", SimDuration{});
-    stage("dedup/registry_lookup", result.lookup_time);
-    stage("dedup/base_read", base_read_time);
-    stage("dedup/delta_encode", delta_time);
-    obs::RecordInstant("dedup/merge", "dedup", cursor, sb.node.value(),
+    const SimTime merge_at =
+        RecordStages(op_ctx, "dedup", sb.node, now,
+                     {{"dedup/checkpoint", result.checkpoint_time},
+                      {"dedup/fingerprint", SimDuration{}},
+                      {"dedup/registry_lookup", result.lookup_time},
+                      {"dedup/base_read", base_read_time},
+                      {"dedup/delta_encode", result.patch_time - base_read_time}});
+    obs::RecordInstant("dedup/merge", "dedup", merge_at, sb.node.value(),
                        op_ctx.Child("dedup/merge"));
   }
   return result;
@@ -385,197 +425,100 @@ RestoreOpResult DedupAgent::RestoreOp(Sandbox& sb, SimTime now, bool verify,
   if (sb.state != SandboxState::kDedup || !sb.checkpoint.has_value()) {
     throw std::logic_error("RestoreOp: sandbox not in dedup state");
   }
-  return options_.restore_mode == RestoreMode::kEager ? RestoreEager(sb, now, verify, ctx)
-                                                      : RestoreLazy(sb, now, verify, ctx);
-}
-
-RestoreOpResult DedupAgent::RestoreEager(Sandbox& sb, SimTime now, bool verify,
-                                         const obs::TraceContext& ctx) {
   const obs::TraceContext op_ctx = ctx.Child("restore_op");
-  const obs::TraceContext read_ctx = op_ctx.Child("restore/base_read");
   RestoreOpResult result;
-  result.mode = RestoreMode::kEager;
-  const double scale = ScaleFactor();
-  MemoryCheckpoint& cp = *sb.checkpoint;
-  const bool payloads = !cp.payloads_dropped();
-  const size_t n = sb.patches.size();
+  result.mode = options_.restore_mode;
+  const bool lazy = result.mode == RestoreMode::kLazy;
+  const size_t patched_pages = sb.patches.size();
+  const RestorePlan plan = PlanRestore(sb, result);
+  const CostModel cost{options_, ScaleFactor()};
 
-  // 1. Base-page reads, serial in patch-record order (deterministic cache
-  // behaviour — see DedupOp), plus refcount release.
-  SimDuration rdma_cost;
-  size_t patch_bytes_applied = 0;
-  uint64_t read_ordinal = 0;
-  std::vector<std::vector<uint8_t>> base_bytes(n);
-  for (size_t i = 0; i < n; ++i) {
-    const PatchRecord& record = sb.patches[i];
-    base_bytes[i].reserve(record.bases.size() * kPageSize);
-    for (const PageLocation& base : record.bases) {
-      std::vector<uint8_t> one = fabric_.ReadPage(
-          base, sb.node, &rdma_cost, obs::MessageTrace{read_ctx, now, read_ordinal++});
-      ++result.base_pages_read;
-      result.base_bytes_read += one.size();
-      if (base.node != sb.node) {
-        ++result.remote_reads;
+  // 1. Critical phase, gating resume: the three Fig. 8 components. Eager
+  // reads serially in record order (deterministic cache behaviour — see
+  // DedupOp); lazy sends one coalesced batch per owner node.
+  const PhaseCost critical =
+      RestoreRecords(sb, plan.critical, /*batched=*/lazy,
+                     obs::MessageTrace{op_ctx.Child(FetchStage(result.mode)), now, 0});
+  AddReads(critical, result);
+  result.read_base_time = cost.Scaled(critical.fetch_cost);
+  result.compute_time = cost.ComputeTime(critical.base_bytes + critical.patch_bytes);
+  result.sandbox_restore_time = cost.CriuTime(plan.mapped_pages, !sb.namespaces_prepared);
+  result.critical_path_time =
+      result.read_base_time + result.compute_time + result.sandbox_restore_time;
+
+  // 2. Demand faults (lazy only): touched pages the prediction missed.
+  // Still-patched ones pay an unbatched on-demand fetch + decode, anchored
+  // after resume; every mispredicted touch pays the minor-fault trap cost.
+  // This is the penalty that keeps a bad working set from being free, and
+  // the platform charges it to the request's startup.
+  const PhaseCost fault = RestoreRecords(
+      sb, plan.fault, /*batched=*/false,
+      obs::MessageTrace{op_ctx.Child("restore/fault_fetch"), now + result.critical_path_time, 0});
+  AddReads(fault, result);
+  const double fault_us = static_cast<double>(options_.minor_fault_cost.value()) *
+                             static_cast<double>(result.ws_fault_pages) +
+                         static_cast<double>(options_.major_fault_cost.value()) *
+                             static_cast<double>(plan.fault.size()) +
+                         static_cast<double>(fault.fetch_cost.value());
+  result.fault_time =
+      Whole(cost.ScaledUs(fault_us) + cost.ComputeUs(fault.base_bytes + fault.patch_bytes));
+  result.total_time = result.critical_path_time + result.fault_time;
+
+  // 3. With nothing deferred the restore completed in one phase: verify now
+  // and release the checkpoint. Otherwise keep the background records (and
+  // their base refs) on the sandbox and remember the expected image digest —
+  // the source image regenerates differently once the sandbox runs again,
+  // so verification must pin it here.
+  verify = verify && !sb.checkpoint->payloads_dropped();
+  result.background_pages = plan.background.size();
+  result.background_pending = !plan.background.empty();
+  if (!result.background_pending) {
+    if (verify) {
+      const std::vector<uint8_t> reconstructed = sb.checkpoint->ToBytes();
+      const MemoryImage original = cluster_.BuildImage(sb);
+      if (reconstructed.size() != original.SizeBytes() ||
+          std::memcmp(reconstructed.data(), original.bytes().data(), reconstructed.size()) != 0) {
+        throw std::logic_error("RestoreOp: reconstruction does not match the original image");
       }
-      base_bytes[i].insert(base_bytes[i].end(), one.begin(), one.end());
-      registry_.Unref(base.sandbox);
+      result.verified = true;
     }
-    patch_bytes_applied += cp.PatchSize(record.page.value());
-  }
-
-  // 2. Reconstruct original pages from patches (parallel). DeltaDecodeInto
-  // writes straight into the output slot: the reconstructed page is required
-  // storage anyway, and the pre-sized single-pass decode avoids the growth
-  // reallocations DeltaDecode's incremental append would incur.
-  std::vector<std::vector<uint8_t>> originals(n);
-  pool_->ParallelFor(0, n, [&](size_t i) {
-    if (payloads) {
-      DeltaDecodeInto(base_bytes[i], cp.PatchData(sb.patches[i].page.value()), originals[i]);
-    } else {
-      originals[i] = std::vector<uint8_t>(kPageSize, 0);
+    sb.patches.clear();
+    cluster_.MarkRestored(sb, now);
+  } else {
+    std::vector<PatchRecord> remaining;
+    remaining.reserve(plan.background.size());
+    for (size_t idx : plan.background) {
+      remaining.push_back(std::move(sb.patches[idx]));
     }
-  });
-
-  // 3. Merge: put the reconstructed bytes back, in record order.
-  for (size_t i = 0; i < n; ++i) {
-    cp.RestorePage(sb.patches[i].page.value(), std::move(originals[i]));
-  }
-
-  result.read_base_time =
-      SimDuration{static_cast<int64_t>(static_cast<double>(rdma_cost.value()) * scale)};
-  result.compute_time = SimDuration{static_cast<int64_t>(
-      static_cast<double>(result.base_bytes_read + patch_bytes_applied) * scale /
-      options_.patch_bytes_per_us)};
-  SimDuration criu = SimDuration{static_cast<int64_t>(
-      static_cast<double>(options_.criu.restore_per_page.value()) *
-      static_cast<double>(cp.NumPages()) * scale)};
-  if (!sb.namespaces_prepared) {
-    criu += options_.criu.namespace_and_ptree;
-  }
-  result.sandbox_restore_time = criu;
-  result.total_time = result.read_base_time + result.compute_time + result.sandbox_restore_time;
-  result.critical_path_time = result.total_time;
-
-  if (verify && payloads) {
-    std::vector<uint8_t> reconstructed = cp.ToBytes();
-    MemoryImage original = cluster_.BuildImage(sb);
-    if (reconstructed.size() != original.SizeBytes() ||
-        std::memcmp(reconstructed.data(), original.bytes().data(), reconstructed.size()) != 0) {
-      throw std::logic_error("RestoreOp: reconstruction does not match the original image");
+    sb.patches = std::move(remaining);
+    PendingRestore pending;
+    pending.verify = verify;
+    pending.ctx = op_ctx;
+    if (verify) {
+      pending.expected = Sha1::Hash(cluster_.BuildImage(sb).bytes());
     }
-    result.verified = true;
+    {
+      MutexLock lock(pending_mu_);
+      pending_[sb.id] = pending;
+    }
+    cluster_.MarkRestored(sb, now, /*release_checkpoint=*/false);
   }
-
-  sb.patches.clear();
-  cluster_.MarkRestored(sb, now);
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.restore_ops;
-    stats_.pages_restored += n;
-    stats_.base_bytes_read += result.base_bytes_read;
-  }
-  if (obs::MetricsEnabled()) {
-    const AgentInstruments& ins = Instruments();
-    ins.restore_ops->Add(1);
-    ins.base_pages_read->Add(result.base_pages_read);
-    ins.restore_op_us->Record(result.total_time.value());
-    ins.restore_base_read_us->Record(result.read_base_time.value());
-    ins.restore_compute_us->Record(result.compute_time.value());
-    ins.restore_criu_us->Record(result.sandbox_restore_time.value());
-  }
-  if (obs::TraceEnabled()) {
-    // The three restore components of the paper's Fig. 8, sequential in the
-    // modelled timeline: base page reading, original page computing, and
-    // sandbox restoration (CRIU rebuild).
-    obs::ScopedSpan op("restore_op", "restore", now, sb.node.value(), op_ctx);
-    op.SetSimDuration(result.total_time);
-    op.AddArg("patched_pages", static_cast<int64_t>(n));
-    op.AddArg("base_pages_read", static_cast<int64_t>(result.base_pages_read));
-    op.AddArg("remote_reads", static_cast<int64_t>(result.remote_reads));
-    SimTime cursor = now;
-    auto stage = [&](const char* name, SimDuration dur) {
-      obs::ScopedSpan span(name, "restore", cursor, sb.node.value(), op_ctx.Child(name));
-      span.SetSimDuration(dur);
-      cursor += dur;
-    };
-    stage("restore/base_read", result.read_base_time);
-    stage("restore/patch_apply", result.compute_time);
-    stage("restore/criu_rebuild", result.sandbox_restore_time);
-  }
+  RecordRestore(sb, now, op_ctx, result, patched_pages, plan.fault.size());
   return result;
 }
 
-std::vector<std::vector<uint8_t>> DedupAgent::FetchBasesBatched(
-    Sandbox& sb, const std::vector<size_t>& records, SimDuration* cost, size_t* pages_read,
-    size_t* bytes_read, size_t* remote_reads, const obs::MessageTrace& trace) {
-  std::vector<PageLocation> locations;
-  size_t total_bases = 0;
-  for (size_t idx : records) {
-    total_bases += sb.patches[idx].bases.size();
+DedupAgent::RestorePlan DedupAgent::PlanRestore(const Sandbox& sb, RestoreOpResult& result) {
+  const size_t num_pages = sb.checkpoint->NumPages();
+  RestorePlan plan;
+  if (result.mode == RestoreMode::kEager) {
+    // Every record before resume, CRIU over the whole image, and no
+    // working-set training.
+    plan.critical.resize(sb.patches.size());
+    std::iota(plan.critical.begin(), plan.critical.end(), size_t{0});
+    plan.mapped_pages = num_pages;
+    return plan;
   }
-  locations.reserve(total_bases);
-  for (size_t idx : records) {
-    for (const PageLocation& base : sb.patches[idx].bases) {
-      locations.push_back(base);
-    }
-  }
-  std::vector<std::vector<uint8_t>> pages =
-      fabric_.ReadPageBatch(locations, sb.node, cost, trace);
-  std::vector<std::vector<uint8_t>> base_bytes(records.size());
-  size_t k = 0;
-  for (size_t j = 0; j < records.size(); ++j) {
-    const PatchRecord& record = sb.patches[records[j]];
-    base_bytes[j].reserve(record.bases.size() * kPageSize);
-    for (const PageLocation& base : record.bases) {
-      std::vector<uint8_t>& one = pages[k++];
-      ++*pages_read;
-      *bytes_read += one.size();
-      if (base.node != sb.node) {
-        ++*remote_reads;
-      }
-      base_bytes[j].insert(base_bytes[j].end(), one.begin(), one.end());
-      registry_.Unref(base.sandbox);
-    }
-  }
-  return base_bytes;
-}
-
-size_t DedupAgent::DecodeAndRestore(Sandbox& sb, const std::vector<size_t>& records,
-                                    std::vector<std::vector<uint8_t>>& base_bytes) {
-  MemoryCheckpoint& cp = *sb.checkpoint;
-  const bool payloads = !cp.payloads_dropped();
-  size_t patch_bytes_applied = 0;
-  for (size_t idx : records) {
-    patch_bytes_applied += cp.PatchSize(sb.patches[idx].page.value());
-  }
-  std::vector<std::vector<uint8_t>> originals(records.size());
-  pool_->ParallelFor(0, records.size(), [&](size_t j) {
-    if (payloads) {
-      DeltaDecodeInto(base_bytes[j], cp.PatchData(sb.patches[records[j]].page.value()),
-                      originals[j]);
-    } else {
-      originals[j] = std::vector<uint8_t>(kPageSize, 0);
-    }
-  });
-  for (size_t j = 0; j < records.size(); ++j) {
-    cp.RestorePage(sb.patches[records[j]].page.value(), std::move(originals[j]));
-  }
-  return patch_bytes_applied;
-}
-
-RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
-                                        const obs::TraceContext& ctx) {
-  const obs::TraceContext op_ctx = ctx.Child("restore_op");
-  RestoreOpResult result;
-  result.mode = RestoreMode::kLazy;
-  const double scale = ScaleFactor();
-  MemoryCheckpoint& cp = *sb.checkpoint;
-  const bool payloads = !cp.payloads_dropped();
-  const size_t num_pages = cp.NumPages();
-  const FunctionProfile& profile = cluster_.ProfileOf(sb);
-  auto scaled = [](double v) { return SimDuration{static_cast<int64_t>(v)}; };
-
-  // 1. Predict the working set from *prior* invocations, then model the
+  // Predict the working set from *prior* invocations, then model the
   // upcoming invocation's touched pages and fold them into the EMA. An
   // unprofiled function prefetches the full image — the self-warming first
   // restore behaves exactly like an eager one (minus read batching).
@@ -591,8 +534,9 @@ RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
   } else {
     result.ws_predicted_pages = num_pages;
   }
+  plan.mapped_pages = result.ws_predicted_pages;
   const std::vector<PageIndex> touched =
-      PostResumeAccessTrace(profile, num_pages, sb.generation + 1);
+      PostResumeAccessTrace(cluster_.ProfileOf(sb), num_pages, sb.generation + 1);
   result.ws_touched_pages = touched.size();
   std::vector<uint8_t> touched_map(num_pages, 0);
   for (PageIndex p : touched) {
@@ -605,182 +549,148 @@ RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
   }
   working_sets_->Record(sb.function, touched, num_pages);
 
-  // 2. Partition the patch records: critical path (predicted working set),
-  // demand faults (touched but not predicted), background (everything else).
-  std::vector<size_t> critical_records;
-  std::vector<size_t> fault_records;
-  std::vector<size_t> background_records;
+  // Critical path (predicted working set), demand faults (touched but not
+  // predicted), background (everything else).
   for (size_t i = 0; i < sb.patches.size(); ++i) {
     const uint32_t page = sb.patches[i].page.value();
     if (in_ws[page] != 0) {
-      critical_records.push_back(i);
+      plan.critical.push_back(i);
     } else if (touched_map[page] != 0) {
-      fault_records.push_back(i);
+      plan.fault.push_back(i);
     } else {
-      background_records.push_back(i);
+      plan.background.push_back(i);
     }
   }
+  return plan;
+}
 
-  // 3. Critical path: one batched fetch of the working set's bases (one
-  // coalesced message per owner node), parallel decode, and a CRIU rebuild
-  // that maps only the predicted pages.
-  SimDuration ws_fetch_cost;
-  std::vector<std::vector<uint8_t>> critical_bases = FetchBasesBatched(
-      sb, critical_records, &ws_fetch_cost, &result.base_pages_read, &result.base_bytes_read,
-      &result.remote_reads, obs::MessageTrace{op_ctx.Child("restore/ws_fetch"), now, 0});
-  const size_t critical_base_bytes = result.base_bytes_read;
-  const size_t critical_patch_bytes = DecodeAndRestore(sb, critical_records, critical_bases);
-
-  // Critical-phase timing (the Fig. 8 components) is final here; computing
-  // it before the fault loop lets the on-demand fetches below anchor their
-  // wire spans after resume, where they land in the modelled timeline.
-  result.read_base_time = scaled(static_cast<double>(ws_fetch_cost.value()) * scale);
-  result.compute_time =
-      scaled(static_cast<double>(critical_base_bytes + critical_patch_bytes) * scale /
-             options_.patch_bytes_per_us);
-  SimDuration criu = scaled(static_cast<double>(options_.criu.restore_per_page.value()) *
-                            static_cast<double>(result.ws_predicted_pages) * scale);
-  if (!sb.namespaces_prepared) {
-    criu += options_.criu.namespace_and_ptree;
+DedupAgent::PhaseCost DedupAgent::RestoreRecords(Sandbox& sb, const std::vector<size_t>& records,
+                                                 bool batched, const obs::MessageTrace& trace) {
+  PhaseCost phase;
+  MemoryCheckpoint& cp = *sb.checkpoint;
+  std::vector<std::vector<uint8_t>> batch;
+  if (batched) {
+    std::vector<PageLocation> locations;
+    locations.reserve(records.size());
+    for (size_t idx : records) {
+      const std::vector<PageLocation>& bases = sb.patches[idx].bases;
+      locations.insert(locations.end(), bases.begin(), bases.end());
+    }
+    batch = fabric_.ReadPageBatch(locations, sb.node, &phase.fetch_cost, trace);
   }
-  result.sandbox_restore_time = criu;
-  result.critical_path_time =
-      result.read_base_time + result.compute_time + result.sandbox_restore_time;
-
-  // 4. Demand faults: touched pages the prediction missed. Still-patched
-  // ones pay an unbatched on-demand fetch + decode; every mispredicted
-  // touch pays the minor-fault trap cost. This is the penalty that keeps a
-  // bad working set from being free.
-  SimDuration fault_fetch_cost;
-  size_t fault_base_bytes = 0;
-  const obs::TraceContext fault_ctx = op_ctx.Child("restore/fault_fetch");
-  const SimTime fault_at = now + result.critical_path_time;
-  uint64_t fault_ordinal = 0;
-  std::vector<std::vector<uint8_t>> fault_bases(fault_records.size());
-  for (size_t j = 0; j < fault_records.size(); ++j) {
-    const PatchRecord& record = sb.patches[fault_records[j]];
-    fault_bases[j].reserve(record.bases.size() * kPageSize);
+  // Per-base accounting in record order. A serial read happens here, so its
+  // fabric cache hit/miss sequence follows record order too.
+  std::vector<std::vector<uint8_t>> base_bytes(records.size());
+  size_t batch_index = 0;
+  uint64_t ordinal = trace.ordinal;
+  for (size_t j = 0; j < records.size(); ++j) {
+    const PatchRecord& record = sb.patches[records[j]];
+    base_bytes[j].reserve(record.bases.size() * kPageSize);
     for (const PageLocation& base : record.bases) {
-      std::vector<uint8_t> one = fabric_.ReadPage(
-          base, sb.node, &fault_fetch_cost, obs::MessageTrace{fault_ctx, fault_at, fault_ordinal++});
-      ++result.base_pages_read;
-      result.base_bytes_read += one.size();
-      fault_base_bytes += one.size();
+      std::vector<uint8_t> one =
+          batched ? std::move(batch[batch_index++])
+                  : fabric_.ReadPage(base, sb.node, &phase.fetch_cost,
+                                     obs::MessageTrace{trace.ctx, trace.at, ordinal++});
+      ++phase.base_pages;
+      phase.base_bytes += one.size();
       if (base.node != sb.node) {
-        ++result.remote_reads;
+        ++phase.remote_reads;
       }
-      fault_bases[j].insert(fault_bases[j].end(), one.begin(), one.end());
+      base_bytes[j].insert(base_bytes[j].end(), one.begin(), one.end());
       registry_.Unref(base.sandbox);
     }
-  }
-  const size_t fault_patch_bytes = DecodeAndRestore(sb, fault_records, fault_bases);
-
-  // 5. Post-resume fault penalty (the platform still charges it to the
-  // request's startup).
-  result.fault_time =
-      scaled((static_cast<double>(options_.minor_fault_cost.value()) *
-                  static_cast<double>(result.ws_fault_pages) +
-              static_cast<double>(options_.major_fault_cost.value()) *
-                  static_cast<double>(fault_records.size()) +
-              static_cast<double>(fault_fetch_cost.value())) *
-                 scale +
-             static_cast<double>(fault_base_bytes + fault_patch_bytes) * scale /
-                 options_.patch_bytes_per_us);
-  result.total_time = result.critical_path_time + result.fault_time;
-
-  // 6. Background bookkeeping. With nothing deferred the restore completed
-  // in one phase: verify now and release the checkpoint. Otherwise keep the
-  // background records (and their base refs) on the sandbox and remember
-  // the expected image digest — the source image regenerates differently
-  // once the sandbox runs again, so verification must pin it here.
-  result.background_pages = background_records.size();
-  result.background_pending = !background_records.empty();
-  if (!result.background_pending) {
-    if (verify && payloads) {
-      std::vector<uint8_t> reconstructed = cp.ToBytes();
-      MemoryImage original = cluster_.BuildImage(sb);
-      if (reconstructed.size() != original.SizeBytes() ||
-          std::memcmp(reconstructed.data(), original.bytes().data(), reconstructed.size()) != 0) {
-        throw std::logic_error("RestoreLazy: reconstruction does not match the original image");
-      }
-      result.verified = true;
-    }
-    sb.patches.clear();
-    cluster_.MarkRestored(sb, now, /*release_checkpoint=*/true);
-  } else {
-    std::vector<PatchRecord> remaining;
-    remaining.reserve(background_records.size());
-    for (size_t idx : background_records) {
-      remaining.push_back(std::move(sb.patches[idx]));
-    }
-    sb.patches = std::move(remaining);
-    PendingRestore pending;
-    pending.verify = verify && payloads;
-    pending.ctx = op_ctx;
-    if (pending.verify) {
-      MemoryImage original = cluster_.BuildImage(sb);
-      pending.expected = Sha1::Hash(original.bytes());
-    }
-    {
-      MutexLock lock(pending_mu_);
-      pending_[sb.id] = pending;
-    }
-    cluster_.MarkRestored(sb, now, /*release_checkpoint=*/false);
+    phase.patch_bytes += cp.PatchSize(record.page.value());
   }
 
+  // Decode (parallel) straight into each output slot — the reconstructed
+  // page is required storage anyway, and the pre-sized single-pass decode
+  // avoids the growth reallocations DeltaDecode's incremental append would
+  // incur — then merge in record order.
+  const bool payloads = !cp.payloads_dropped();
+  std::vector<std::vector<uint8_t>> originals(records.size());
+  pool_->ParallelFor(0, records.size(), [&](size_t j) {
+    if (payloads) {
+      DeltaDecodeInto(base_bytes[j], cp.PatchData(sb.patches[records[j]].page.value()),
+                      originals[j]);
+    } else {
+      originals[j] = std::vector<uint8_t>(kPageSize, 0);
+    }
+  });
+  for (size_t j = 0; j < records.size(); ++j) {
+    cp.RestorePage(sb.patches[records[j]].page.value(), std::move(originals[j]));
+  }
+  return phase;
+}
+
+void DedupAgent::RecordRestore(const Sandbox& sb, SimTime now, const obs::TraceContext& op_ctx,
+                               const RestoreOpResult& result, size_t patched_pages,
+                               size_t fault_pages) {
+  const bool lazy = result.mode == RestoreMode::kLazy;
   {
     MutexLock lock(stats_mu_);
     ++stats_.restore_ops;
-    ++stats_.lazy_restores;
-    stats_.pages_restored += critical_records.size() + fault_records.size();
+    stats_.pages_restored += patched_pages - result.background_pages;
     stats_.base_bytes_read += result.base_bytes_read;
-    stats_.ws_fault_pages += result.ws_fault_pages;
+    LazyRestoreStats& lz = stats_.lazy;
+    if (lazy) {
+      ++lz.lazy_restores;
+      lz.ws_predicted_pages += result.ws_predicted_pages;
+      lz.ws_touched_pages += result.ws_touched_pages;
+      lz.ws_hit_pages += result.ws_hit_pages;
+      lz.ws_fault_pages += result.ws_fault_pages;
+      lz.fault_ms += ToMillis(result.fault_time);
+    } else {
+      ++lz.eager_restores;
+    }
+    lz.critical_path_ms.Record(ToMillis(result.critical_path_time));
   }
   if (obs::MetricsEnabled()) {
     const AgentInstruments& ins = Instruments();
     ins.restore_ops->Add(1);
     ins.base_pages_read->Add(result.base_pages_read);
-    ins.ws_hit_pages->Add(result.ws_hit_pages);
-    ins.ws_fault_pages->Add(result.ws_fault_pages);
-    ins.background_pages->Add(result.background_pages);
     ins.restore_op_us->Record(result.total_time.value());
     ins.restore_base_read_us->Record(result.read_base_time.value());
     ins.restore_compute_us->Record(result.compute_time.value());
     ins.restore_criu_us->Record(result.sandbox_restore_time.value());
-    ins.restore_critical_us->Record(result.critical_path_time.value());
-    ins.restore_fault_us->Record(result.fault_time.value());
-  }
-  if (obs::TraceEnabled()) {
-    // Critical phase laid out sequentially; the fault penalty is an arg on
-    // the op span (it has no fixed position in the modelled timeline).
-    obs::ScopedSpan op("restore_op", "restore", now, sb.node.value(), op_ctx);
-    op.SetSimDuration(result.total_time);
-    op.AddArg("patched_pages", static_cast<int64_t>(sb.patches.size() + critical_records.size() +
-                                                    fault_records.size()));
-    op.AddArg("ws_predicted", static_cast<int64_t>(result.ws_predicted_pages));
-    op.AddArg("ws_hits", static_cast<int64_t>(result.ws_hit_pages));
-    op.AddArg("ws_faults", static_cast<int64_t>(result.ws_fault_pages));
-    op.AddArg("background_pages", static_cast<int64_t>(result.background_pages));
-    op.AddArg("fault_us", result.fault_time.value());
-    SimTime cursor = now;
-    auto stage = [&](const char* name, SimDuration dur) {
-      obs::ScopedSpan span(name, "restore", cursor, sb.node.value(), op_ctx.Child(name));
-      span.SetSimDuration(dur);
-      cursor += dur;
-    };
-    stage("restore/ws_fetch", result.read_base_time);
-    stage("restore/patch_apply", result.compute_time);
-    stage("restore/criu_rebuild", result.sandbox_restore_time);
-    if (!fault_records.empty()) {
-      // Anchors the on-demand fetches' wire spans: they were parented to
-      // this context, so it must be recorded for parent links to resolve.
-      obs::ScopedSpan faults("restore/fault_fetch", "restore", cursor, sb.node.value(),
-                             op_ctx.Child("restore/fault_fetch"));
-      faults.SetSimDuration(result.fault_time);
-      faults.AddArg("pages", static_cast<int64_t>(fault_records.size()));
+    if (lazy) {
+      ins.ws_hit_pages->Add(result.ws_hit_pages);
+      ins.ws_fault_pages->Add(result.ws_fault_pages);
+      ins.background_pages->Add(result.background_pages);
+      ins.restore_critical_us->Record(result.critical_path_time.value());
+      ins.restore_fault_us->Record(result.fault_time.value());
     }
   }
-  return result;
+  if (obs::TraceEnabled()) {
+    // The three restore components of the paper's Fig. 8, sequential in the
+    // modelled timeline: base page reading, original page computing, and
+    // sandbox restoration (CRIU rebuild). The fault penalty is an arg on the
+    // op span (it has no fixed position in the modelled timeline).
+    obs::ScopedSpan op("restore_op", "restore", now, sb.node.value(), op_ctx);
+    op.SetSimDuration(result.total_time);
+    op.AddArg("patched_pages", static_cast<int64_t>(patched_pages));
+    if (lazy) {
+      op.AddArg("ws_predicted", static_cast<int64_t>(result.ws_predicted_pages));
+      op.AddArg("ws_hits", static_cast<int64_t>(result.ws_hit_pages));
+      op.AddArg("ws_faults", static_cast<int64_t>(result.ws_fault_pages));
+      op.AddArg("background_pages", static_cast<int64_t>(result.background_pages));
+      op.AddArg("fault_us", result.fault_time.value());
+    } else {
+      op.AddArg("base_pages_read", static_cast<int64_t>(result.base_pages_read));
+      op.AddArg("remote_reads", static_cast<int64_t>(result.remote_reads));
+    }
+    const SimTime resumed = RecordStages(op_ctx, "restore", sb.node, now,
+                                         {{FetchStage(result.mode), result.read_base_time},
+                                          {"restore/patch_apply", result.compute_time},
+                                          {"restore/criu_rebuild", result.sandbox_restore_time}});
+    if (fault_pages > 0) {
+      // Anchors the on-demand fetches' wire spans: they were parented to
+      // this context, so it must be recorded for parent links to resolve.
+      obs::ScopedSpan faults("restore/fault_fetch", "restore", resumed, sb.node.value(),
+                             op_ctx.Child("restore/fault_fetch"));
+      faults.SetSimDuration(result.fault_time);
+      faults.AddArg("pages", static_cast<int64_t>(fault_pages));
+    }
+  }
 }
 
 BackgroundRestoreResult DedupAgent::CompleteBackgroundRestore(Sandbox& sb, SimTime now) {
@@ -798,34 +708,23 @@ BackgroundRestoreResult DedupAgent::CompleteBackgroundRestore(Sandbox& sb, SimTi
     return {};  // superseded (re-deduped) between scheduling and firing
   }
   BackgroundRestoreResult result;
-  const double scale = ScaleFactor();
-  MemoryCheckpoint& cp = *sb.checkpoint;
 
   // Same trace as the restore op that deferred this work: the background
   // span is a child of the op span captured in the pending record.
   const obs::TraceContext bg_ctx = pending.ctx.Child("restore/bg_fault");
   std::vector<size_t> records(sb.patches.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    records[i] = i;
-  }
-  SimDuration fetch_cost;
-  std::vector<std::vector<uint8_t>> bases =
-      FetchBasesBatched(sb, records, &fetch_cost, &result.base_pages_read,
-                        &result.base_bytes_read, &result.remote_reads,
-                        obs::MessageTrace{bg_ctx, now, 0});
-  const size_t patch_bytes = DecodeAndRestore(sb, records, bases);
+  std::iota(records.begin(), records.end(), size_t{0});
+  const PhaseCost phase =
+      RestoreRecords(sb, records, /*batched=*/true, obs::MessageTrace{bg_ctx, now, 0});
+  AddReads(phase, result);
   result.pages = records.size();
-  result.total_time =
-      SimDuration{static_cast<int64_t>(static_cast<double>(fetch_cost.value()) * scale)} +
-      SimDuration{static_cast<int64_t>(
-          static_cast<double>(result.base_bytes_read + patch_bytes) * scale /
-          options_.patch_bytes_per_us)} +
-      SimDuration{static_cast<int64_t>(static_cast<double>(options_.criu.restore_per_page.value()) *
-                                       static_cast<double>(result.pages) * scale)};
+  const CostModel cost{options_, ScaleFactor()};
+  result.total_time = cost.Scaled(phase.fetch_cost) +
+                      cost.ComputeTime(phase.base_bytes + phase.patch_bytes) +
+                      cost.CriuTime(result.pages, /*with_namespaces=*/false);
 
-  if (pending.verify && !cp.payloads_dropped()) {
-    std::vector<uint8_t> reconstructed = cp.ToBytes();
-    if (Sha1::Hash(reconstructed) != pending.expected) {
+  if (pending.verify && !sb.checkpoint->payloads_dropped()) {
+    if (Sha1::Hash(sb.checkpoint->ToBytes()) != pending.expected) {
       throw std::logic_error(
           "CompleteBackgroundRestore: reconstruction does not match the image digest");
     }
@@ -836,10 +735,11 @@ BackgroundRestoreResult DedupAgent::CompleteBackgroundRestore(Sandbox& sb, SimTi
 
   {
     MutexLock lock(stats_mu_);
-    ++stats_.background_completions;
-    stats_.background_pages += result.pages;
     stats_.pages_restored += result.pages;
     stats_.base_bytes_read += result.base_bytes_read;
+    ++stats_.lazy.background_completions;
+    stats_.lazy.background_pages += result.pages;
+    stats_.lazy.background_ms += ToMillis(result.total_time);
   }
   if (obs::MetricsEnabled()) {
     const AgentInstruments& ins = Instruments();
@@ -861,9 +761,15 @@ bool DedupAgent::HasPendingBackgroundRestore(SandboxId id) const {
   return pending_.contains(id);
 }
 
-void DedupAgent::AbandonBackgroundRestore(SandboxId id) {
+void DedupAgent::ReleasePatches(Sandbox& sb) {
+  for (const PatchRecord& record : sb.patches) {
+    for (const PageLocation& base : record.bases) {
+      registry_.Unref(base.sandbox);
+    }
+  }
+  sb.patches.clear();
   MutexLock lock(pending_mu_);
-  pending_.erase(id);
+  pending_.erase(sb.id);
 }
 
 BaseSnapshot& DedupAgent::DesignateBase(Sandbox& sb, SimTime now, const obs::TraceContext& ctx) {
@@ -877,13 +783,7 @@ BaseSnapshot& DedupAgent::DesignateBase(Sandbox& sb, SimTime now, const obs::Tra
   obs::ScopedSpan designate("designate_base", "dedup", now, sb.node.value(), designate_ctx);
   MemoryImage image = cluster_.BuildImage(sb);
   MemoryCheckpoint cp = MemoryCheckpoint::Capture(image);
-  std::vector<size_t> resident;
-  resident.reserve(cp.NumPages());
-  for (size_t page = 0; page < cp.NumPages(); ++page) {
-    if (cp.SlotState(page) == PageSlotState::kResident) {
-      resident.push_back(page);
-    }
-  }
+  const std::vector<size_t> resident = ResidentPages(cp);
   std::vector<PageFingerprint> resident_fps = FingerprintPages(cp, resident);
   // Zero pages keep empty fingerprints (not inserted into the registry).
   std::vector<PageFingerprint> fingerprints(cp.NumPages());

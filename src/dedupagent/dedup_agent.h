@@ -9,17 +9,19 @@
 // namespace/process-tree restoration work is done *now* so dedup starts skip
 // it (Section 4.2).
 //
-// Restore op (Fig. 6): fetch referenced base pages (one-sided RDMA, no
-// controller involvement), reconstruct original pages from patches, rebuild
-// the memory dump, and restore the sandbox from it. The default mode is
-// *lazy* (REAP-style, see DESIGN.md "Lazy restore"): only the function's
-// predicted post-resume working set is fetched and mapped on the critical
-// path (batched per owner node through RdmaFabric::ReadPageBatch); touched
-// pages outside the prediction pay a modelled demand-fault penalty, and the
-// remaining patched pages are faulted in by a background phase the platform
-// schedules on the event engine. RestoreMode::kEager keeps the original
-// restore-everything-first behaviour as the regression reference; final
-// memory images are bit-identical between the two modes.
+// Restore op (Fig. 6) is one pipeline of phases: fetch the base pages of a
+// set of patch records (one-sided RDMA, no controller involvement), decode
+// and merge the original pages back into the checkpoint, and charge the CRIU
+// rebuild. A restore mode only chooses which records each phase handles
+// (see DESIGN.md "Lazy restore"). The default, *lazy* (REAP-style), fetches
+// the function's predicted post-resume working set before resume in one
+// coalesced RdmaFabric::ReadPageBatch per owner node; touched pages outside
+// the prediction pay a modelled demand fault (serial reads), and the rest are
+// fetched by a background phase the platform schedules on the event engine.
+// RestoreMode::kEager runs the same phases with serial reads over every
+// record before resume, as the regression reference; final memory images are
+// bit-identical between the two modes. The agent is the one tally of its op
+// results (DedupAgentStats); the platform copies the totals at end of run.
 //
 // Timing is modelled against *represented* sizes: the synthetic images are
 // built at `bytes_per_mb` scale, so modelled durations multiply measured
@@ -46,6 +48,7 @@
 #include "chunking/fingerprint.h"
 #include "cluster/cluster.h"
 #include "common/annotations.h"
+#include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/sha1.h"
 #include "common/thread_pool.h"
@@ -76,11 +79,6 @@ struct DedupAgentOptions {
   // A patch is only kept if it is smaller than this fraction of the page
   // (otherwise deduplication of that page isn't worth the metadata).
   double patch_accept_max_ratio = 0.85;
-  // NOTE: the flat `controller_lookup_per_page` constant that used to live
-  // here is gone — DedupOpResult::lookup_time now comes from the registry's
-  // own cost model (RegistryOptions::lookup_per_page plus transport message
-  // costs; DistributedRegistry models its shard fan-out), so centralized and
-  // distributed configurations no longer disagree about the same operation.
   // How many ranked base pages a patch may be computed against (Section
   // 4.1.2 says "base page(s)"; 1 keeps restore reads minimal — the Fig. 16
   // cardinality sensitivity raises it).
@@ -134,9 +132,35 @@ struct DedupOpResult {
   SimDuration total_time;
 };
 
+// Restore-mode accounting, aggregated over every restore. `critical_path_ms`
+// is the pre-resume latency of each restore, the quantity Fig. 8 compares
+// across restore modes; fault/background time is what lazy mode moved off
+// that path.
+struct LazyRestoreStats {
+  uint64_t lazy_restores = 0;
+  uint64_t eager_restores = 0;
+  uint64_t ws_predicted_pages = 0;
+  uint64_t ws_touched_pages = 0;
+  uint64_t ws_hit_pages = 0;
+  uint64_t ws_fault_pages = 0;          // mispredicted post-resume touches
+  uint64_t background_completions = 0;  // background phases run to completion
+  uint64_t background_pages = 0;        // patched pages faulted in off-path
+  double fault_ms = 0;       // post-resume demand-fault penalty
+  double background_ms = 0;  // off-critical-path background phase time
+  SampleRecorder critical_path_ms;
+
+  // Fraction of touched pages the prediction prefetched (1.0 when nothing
+  // was touched — there was nothing to miss).
+  double HitRate() const {
+    return ws_touched_pages == 0
+               ? 1.0
+               : static_cast<double>(ws_hit_pages) / static_cast<double>(ws_touched_pages);
+  }
+};
+
 // Cumulative per-agent counters, aggregated across every op the agent has
-// run. Ops on different sandboxes may execute concurrently (the controller
-// schedules one op per sandbox), so the counters sit behind a lock.
+// run, in op order: the single source of dedup, restore and designation
+// totals.
 struct DedupAgentStats {
   uint64_t dedup_ops = 0;
   uint64_t restore_ops = 0;
@@ -146,11 +170,7 @@ struct DedupAgentStats {
   uint64_t patch_bytes = 0;
   uint64_t saved_bytes = 0;
   uint64_t base_bytes_read = 0;
-  // Lazy-restore accounting.
-  uint64_t lazy_restores = 0;
-  uint64_t ws_fault_pages = 0;          // mispredicted post-resume touches
-  uint64_t background_completions = 0;  // background phases run to completion
-  uint64_t background_pages = 0;        // patched pages faulted in off-path
+  LazyRestoreStats lazy;
 };
 
 struct RestoreOpResult {
@@ -229,10 +249,11 @@ class DedupAgent {
 
   bool HasPendingBackgroundRestore(SandboxId id) const EXCLUDES(pending_mu_);
 
-  // Forgets pending background state without fetching anything (sandbox
-  // purged, or re-deduped so a fresh checkpoint supersedes the old one).
-  // Does not touch refcounts: the caller owns the remaining patch refs.
-  void AbandonBackgroundRestore(SandboxId id) EXCLUDES(pending_mu_);
+  // Releases whatever patch state `sb` still holds without fetching
+  // anything (sandbox purged, or re-deduped so a fresh checkpoint supersedes
+  // the old one): unrefs every base its patch records reference, clears the
+  // records, and forgets any pending background restore.
+  void ReleasePatches(Sandbox& sb) EXCLUDES(pending_mu_);
 
   // The working-set profile table consulted by lazy restores (shared when
   // DedupAgentOptions::working_sets was set, agent-private otherwise).
@@ -260,9 +281,27 @@ class DedupAgent {
   struct PendingRestore {
     Sha1Digest expected;
     bool verify = false;
-    // Restore-op context captured at RestoreLazy time: the background phase
+    // Restore-op context captured at RestoreOp time: the background phase
     // runs later (event engine) but its spans belong to the same trace.
     obs::TraceContext ctx;
+  };
+
+  // Which patch records (indexes into sb.patches) each restore phase handles.
+  struct RestorePlan {
+    std::vector<size_t> critical;    // fetched and mapped before resume
+    std::vector<size_t> fault;       // touched after resume, fetched on demand
+    std::vector<size_t> background;  // left for CompleteBackgroundRestore
+    size_t mapped_pages = 0;         // pages the pre-resume CRIU rebuild maps
+  };
+
+  // What one restore phase read and applied (image-scale bytes; fetch_cost
+  // is the fabric's cost before scaling).
+  struct PhaseCost {
+    SimDuration fetch_cost;
+    size_t base_pages = 0;
+    size_t base_bytes = 0;
+    size_t remote_reads = 0;
+    size_t patch_bytes = 0;
   };
 
   // Fingerprints of all resident pages (parallel stage; `pages[i]` indexes
@@ -270,25 +309,23 @@ class DedupAgent {
   std::vector<PageFingerprint> FingerprintPages(const MemoryCheckpoint& cp,
                                                 const std::vector<size_t>& pages);
 
-  RestoreOpResult RestoreEager(Sandbox& sb, SimTime now, bool verify,
-                               const obs::TraceContext& ctx);
-  RestoreOpResult RestoreLazy(Sandbox& sb, SimTime now, bool verify,
-                              const obs::TraceContext& ctx);
+  // Splits sb.patches across the restore phases for the configured mode.
+  // Lazy mode also predicts and trains the working set, filling `result`'s
+  // ws_* fields.
+  RestorePlan PlanRestore(const Sandbox& sb, RestoreOpResult& result);
 
-  // Batched base fetch for the patch records selected by `records` (indexes
-  // into sb.patches). Returns per-record concatenated base bytes; updates
-  // the read counters and releases the records' base refs. `trace` parents
-  // the batch's wire spans (forwarded to RdmaFabric::ReadPageBatch).
-  std::vector<std::vector<uint8_t>> FetchBasesBatched(Sandbox& sb,
-                                                      const std::vector<size_t>& records,
-                                                      SimDuration* cost, size_t* pages_read,
-                                                      size_t* bytes_read, size_t* remote_reads,
-                                                      const obs::MessageTrace& trace = {});
+  // One restore phase over `records`: fetches their bases (one coalesced
+  // ReadPageBatch when `batched`, else one ReadPage per base with ordinals
+  // counting up from trace.ordinal), releases their base refs, then decodes
+  // (parallel) and merges (serial, record order) the original pages back
+  // into the checkpoint.
+  PhaseCost RestoreRecords(Sandbox& sb, const std::vector<size_t>& records, bool batched,
+                           const obs::MessageTrace& trace);
 
-  // Decode + merge `records` back into the checkpoint (parallel decode,
-  // serial merge in record order). Returns decoded patch bytes applied.
-  size_t DecodeAndRestore(Sandbox& sb, const std::vector<size_t>& records,
-                          std::vector<std::vector<uint8_t>>& base_bytes);
+  // Tallies a completed restore op and records its metrics and spans.
+  void RecordRestore(const Sandbox& sb, SimTime now, const obs::TraceContext& op_ctx,
+                     const RestoreOpResult& result, size_t patched_pages, size_t fault_pages)
+      EXCLUDES(stats_mu_);
 
   Cluster& cluster_;
   RegistryBackend& registry_;

@@ -11,6 +11,7 @@
 
 #include "common/histogram.h"
 #include "common/time.h"
+#include "dedupagent/dedup_agent.h"
 #include "memstate/profiles.h"
 #include "net/transport.h"
 #include "rdma/rdma.h"
@@ -42,8 +43,6 @@ struct FunctionMetrics {
   uint64_t warm_starts = 0;
   uint64_t dedup_starts = 0;
   uint64_t cold_starts = 0;
-  SampleRecorder e2e_ms;
-  SampleRecorder startup_ms;
   // Restore (dedup start) breakdown, Fig. 8's three components.
   SampleRecorder restore_read_ms;
   SampleRecorder restore_compute_ms;
@@ -56,32 +55,6 @@ struct FunctionMetrics {
   uint64_t total_pages_deduped = 0;
 
   uint64_t TotalRequests() const { return warm_starts + dedup_starts + cold_starts; }
-};
-
-// Working-set-aware lazy restore accounting (aggregated over the run).
-// `critical_path_ms` is the pre-resume latency of each dedup start — the
-// quantity Fig. 8 compares across restore modes; fault/background time is
-// what lazy mode moved off that path.
-struct LazyRestoreStats {
-  uint64_t lazy_restores = 0;
-  uint64_t eager_restores = 0;
-  uint64_t ws_predicted_pages = 0;
-  uint64_t ws_touched_pages = 0;
-  uint64_t ws_hit_pages = 0;
-  uint64_t ws_fault_pages = 0;
-  uint64_t background_completions = 0;
-  uint64_t background_pages = 0;
-  double fault_ms = 0;       // post-resume demand-fault penalty
-  double background_ms = 0;  // off-critical-path background fetch time
-  SampleRecorder critical_path_ms;
-
-  // Fraction of touched pages the prediction prefetched (1.0 when nothing
-  // was touched — there was nothing to miss).
-  double HitRate() const {
-    return ws_touched_pages == 0
-               ? 1.0
-               : static_cast<double>(ws_hit_pages) / static_cast<double>(ws_touched_pages);
-  }
 };
 
 struct MemorySample {
@@ -101,17 +74,19 @@ struct RunMetrics {
   std::vector<FunctionMetrics> per_function;  // indexed by FunctionId
   std::vector<MemorySample> memory_timeline;
 
-  uint64_t dedup_ops = 0;
-  uint64_t restores = 0;
   uint64_t sandboxes_spawned = 0;
-  uint64_t sandboxes_deduped = 0;  // distinct dedup transitions
   uint64_t evictions = 0;
-  uint64_t base_designations = 0;
   uint64_t overcommit_events = 0;
 
   uint64_t same_function_pages = 0;
   uint64_t cross_function_pages = 0;
 
+  // Dedup-agent totals, copied from DedupAgent::stats() at the end of the run
+  // (the agent is their only tally).
+  uint64_t dedup_ops = 0;
+  uint64_t restores = 0;
+  uint64_t sandboxes_deduped = 0;  // == dedup_ops: each op is one warm->dedup transition
+  uint64_t base_designations = 0;
   LazyRestoreStats lazy_restore;
 
   RegistryStats registry;
@@ -132,8 +107,11 @@ struct RunMetrics {
   double MedianMemoryMb() const;
   double MeanSandboxesInMemory() const;
 
-  // Per-function p-quantile of end-to-end latency in ms.
+  // Nearest-rank p-quantile (SampleRecorder::Percentile) over `requests`, in
+  // ms: end-to-end latency of one function's requests, and startup latency
+  // of one start type's. 0 when no request matches.
   double FunctionE2ePercentileMs(FunctionId function, double p) const;
+  double StartupPercentileMs(StartType start, double p) const;
 };
 
 // Distribution of per-request improvement factors (baseline e2e / medes e2e),

@@ -21,7 +21,6 @@ struct PlatformInstruments {
   obs::Counter* spawns;
   obs::Counter* evictions;
   obs::Counter* overcommits;
-  obs::Counter* base_designations;
   obs::Gauge* live_sandboxes;
   obs::Gauge* warm_sandboxes;
   obs::Gauge* dedup_sandboxes;
@@ -47,8 +46,6 @@ const PlatformInstruments& Instruments() {
             &registry.GetCounter("medes_platform_evictions_total", "Sandboxes/bases evicted"),
         .overcommits = &registry.GetCounter("medes_platform_overcommit_events_total",
                                             "Requests admitted despite not fitting in memory"),
-        .base_designations = &registry.GetCounter("medes_platform_base_designations_total",
-                                                  "Base snapshots created"),
         .live_sandboxes =
             &registry.GetGauge("medes_platform_live_sandboxes", "Sandboxes currently alive"),
         .warm_sandboxes =
@@ -169,11 +166,17 @@ class ServerlessPlatform::Impl {
     sim_.Run();
     // Component stats are pulled before taking the metrics lock: their
     // accessors acquire lower-ranked locks (registry shards, rdma cache).
+    DedupAgentStats agent_stats = agent_.stats();
     const RegistryStats registry_stats = registry_->stats();
     const RdmaStats rdma_stats = fabric_.stats();
     const TransportStats transport_stats = transport_->stats();
     const store::StoreStats store_stats = store_->stats();
     MutexLock lock(metrics_mu_);
+    metrics_.dedup_ops = agent_stats.dedup_ops;
+    metrics_.sandboxes_deduped = agent_stats.dedup_ops;
+    metrics_.restores = agent_stats.restore_ops;
+    metrics_.base_designations = agent_stats.bases_designated;
+    metrics_.lazy_restore = std::move(agent_stats.lazy);
     metrics_.registry = registry_stats;
     metrics_.rdma = rdma_stats;
     metrics_.transport = transport_stats;
@@ -357,8 +360,6 @@ class ServerlessPlatform::Impl {
   void RecordDedup(Sandbox& sb, const DedupOpResult& result) EXCLUDES(metrics_mu_) {
     controller_.RecordDedupResult(sb.function, result);
     MutexLock lock(metrics_mu_);
-    ++metrics_.dedup_ops;
-    ++metrics_.sandboxes_deduped;
     metrics_.same_function_pages += result.same_function_pages;
     metrics_.cross_function_pages += result.cross_function_pages;
     auto& fm = metrics_.per_function[static_cast<size_t>(sb.function)];
@@ -374,12 +375,7 @@ class ServerlessPlatform::Impl {
     CancelTimer(sb);
     // Unconditional: a warm sandbox with a pending background restore still
     // holds patch records (and base refs) for its not-yet-fetched pages.
-    for (const PatchRecord& record : sb.patches) {
-      for (const PageLocation& base : record.bases) {
-        registry_->Unref(base.sandbox);
-      }
-    }
-    agent_.AbandonBackgroundRestore(sb.id);
+    agent_.ReleasePatches(sb);
     cluster_.Purge(sb.id);
   }
 
@@ -411,19 +407,6 @@ class ServerlessPlatform::Impl {
         fm.restore_read_ms.Record(ToMillis(restore.read_base_time));
         fm.restore_compute_ms.Record(ToMillis(restore.compute_time));
         fm.restore_criu_ms.Record(ToMillis(restore.sandbox_restore_time));
-        ++metrics_.restores;
-        LazyRestoreStats& lz = metrics_.lazy_restore;
-        if (restore.mode == RestoreMode::kLazy) {
-          ++lz.lazy_restores;
-          lz.ws_predicted_pages += restore.ws_predicted_pages;
-          lz.ws_touched_pages += restore.ws_touched_pages;
-          lz.ws_hit_pages += restore.ws_hit_pages;
-          lz.ws_fault_pages += restore.ws_fault_pages;
-          lz.fault_ms += ToMillis(restore.fault_time);
-        } else {
-          ++lz.eager_restores;
-        }
-        lz.critical_path_ms.Record(ToMillis(restore.critical_path_time));
       }
       if (restore.background_pending) {
         // The off-critical-path phase: fires once the request's startup
@@ -478,8 +461,6 @@ class ServerlessPlatform::Impl {
           ++fm.cold_starts;
           break;
       }
-      fm.e2e_ms.Record(ToMillis(e2e));
-      fm.startup_ms.Record(ToMillis(startup));
     }
     if (obs::MetricsEnabled()) {
       const PlatformInstruments& ins = Instruments();
@@ -510,22 +491,12 @@ class ServerlessPlatform::Impl {
   }
 
   // Completes a lazy restore's deferred page fetches. The pending entry may
-  // be gone by now (purge, or a re-dedup flushed it) — then this is a no-op.
+  // be gone by now (a purge or a re-dedup released it) — then this is a
+  // no-op.
   void OnBackgroundRestore(SandboxId id) {
-    Sandbox* sb = cluster_.Find(id);
-    if (sb == nullptr) {
-      agent_.AbandonBackgroundRestore(id);
-      return;
+    if (Sandbox* sb = cluster_.Find(id); sb != nullptr) {
+      agent_.CompleteBackgroundRestore(*sb, sim_.Now());
     }
-    const BackgroundRestoreResult result = agent_.CompleteBackgroundRestore(*sb, sim_.Now());
-    if (result.pages == 0 && result.base_pages_read == 0) {
-      return;
-    }
-    MutexLock lock(metrics_mu_);
-    LazyRestoreStats& lz = metrics_.lazy_restore;
-    ++lz.background_completions;
-    lz.background_pages += result.pages;
-    lz.background_ms += ToMillis(result.total_time);
   }
 
   void OnComplete(SandboxId id) {
@@ -616,13 +587,6 @@ class ServerlessPlatform::Impl {
         if (EnsureFits(sb->node, cluster_.ProfileOf(*sb).memory_mb, sb->id,
                        /*spare_warm=*/true, ctx)) {
           agent_.DesignateBase(*sb, now, ctx);
-          {
-            MutexLock lock(metrics_mu_);
-            ++metrics_.base_designations;
-          }
-          if (obs::MetricsEnabled()) {
-            Instruments().base_designations->Add(1);
-          }
           obs::RecordInstant("base_designation", "platform", now, sb->node.value());
         } else if (keep_alive_expired) {
           // No room for a base; the sandbox follows the normal warm

@@ -4,6 +4,7 @@
 // working-set table's serialization round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -77,29 +78,43 @@ TEST(LazyRestoreTest, EagerAndLazyProduceIdenticalImagesAcrossThreadCounts) {
   // original bytes in each; verify=true proves each mode reconstructed its
   // image byte-exactly (eager: memcmp, lazy: pinned SHA-1 digest) — so the
   // final memory images are bit-identical between modes and thread counts.
-  for (size_t threads : {size_t{1}, size_t{4}, size_t{0}}) {  // 0 = MEDES_THREADS/hw
-    Env eager(WithThreads(threads, RestoreMode::kEager));
-    Env lazy(WithThreads(threads, RestoreMode::kLazy));
-    for (const char* fn : {"Vanilla", "RNNModel"}) {
-      Sandbox& ve = eager.DedupedVictim(fn);
-      Sandbox& vl = lazy.DedupedVictim(fn);
-      ASSERT_EQ(ve.id, vl.id) << "environments diverged";
-      // Two cycles: the first trains the lazy working set, the second runs
-      // the trained (partial-prefetch) path.
-      for (int cycle = 0; cycle < 2; ++cycle) {
-        const SimTime now{10 + cycle * 10};
-        EXPECT_TRUE(RestoreFully(eager, ve, now)) << fn << " cycle " << cycle;
-        EXPECT_TRUE(RestoreFully(lazy, vl, now)) << fn << " cycle " << cycle;
-        eager.cluster.MarkRunning(ve, now + SimDuration{2});
-        eager.cluster.MarkWarm(ve, now + SimDuration{3});
-        lazy.cluster.MarkRunning(vl, now + SimDuration{2});
-        lazy.cluster.MarkWarm(vl, now + SimDuration{3});
-        ASSERT_EQ(ve.generation, vl.generation);
-        eager.agent.DedupOp(ve, now + SimDuration{4});
-        lazy.agent.DedupOp(vl, now + SimDuration{4});
+  // Two-base patch records (max_base_pages_per_page = 2) run through every
+  // fetch path: eager serial reads, the lazy critical batch, demand-fault
+  // reads and the background batch.
+  for (size_t max_bases : {size_t{1}, size_t{2}}) {
+    for (size_t threads : {size_t{1}, size_t{4}, size_t{0}}) {  // 0 = MEDES_THREADS/hw
+      DedupAgentOptions eager_opts = WithThreads(threads, RestoreMode::kEager);
+      DedupAgentOptions lazy_opts = WithThreads(threads, RestoreMode::kLazy);
+      eager_opts.max_base_pages_per_page = max_bases;
+      lazy_opts.max_base_pages_per_page = max_bases;
+      Env eager(eager_opts);
+      Env lazy(lazy_opts);
+      for (const char* fn : {"Vanilla", "RNNModel"}) {
+        Sandbox& ve = eager.DedupedVictim(fn);
+        Sandbox& vl = lazy.DedupedVictim(fn);
+        ASSERT_EQ(ve.id, vl.id) << "environments diverged";
+        size_t widest = 0;
+        for (const PatchRecord& record : vl.patches) {
+          widest = std::max(widest, record.bases.size());
+        }
+        EXPECT_EQ(widest, max_bases) << fn;
+        // Two cycles: the first trains the lazy working set, the second runs
+        // the trained (partial-prefetch) path.
+        for (int cycle = 0; cycle < 2; ++cycle) {
+          const SimTime now{10 + cycle * 10};
+          EXPECT_TRUE(RestoreFully(eager, ve, now)) << fn << " cycle " << cycle;
+          EXPECT_TRUE(RestoreFully(lazy, vl, now)) << fn << " cycle " << cycle;
+          eager.cluster.MarkRunning(ve, now + SimDuration{2});
+          eager.cluster.MarkWarm(ve, now + SimDuration{3});
+          lazy.cluster.MarkRunning(vl, now + SimDuration{2});
+          lazy.cluster.MarkWarm(vl, now + SimDuration{3});
+          ASSERT_EQ(ve.generation, vl.generation);
+          eager.agent.DedupOp(ve, now + SimDuration{4});
+          lazy.agent.DedupOp(vl, now + SimDuration{4});
+        }
+        EXPECT_TRUE(RestoreFully(eager, ve, SimTime{100})) << fn;
+        EXPECT_TRUE(RestoreFully(lazy, vl, SimTime{100})) << fn;
       }
-      EXPECT_TRUE(RestoreFully(eager, ve, SimTime{100})) << fn;
-      EXPECT_TRUE(RestoreFully(lazy, vl, SimTime{100})) << fn;
     }
   }
 }
@@ -140,9 +155,9 @@ TEST(LazyRestoreTest, TrainedRestoreDefersBackgroundPagesAndSpeedsUpCriticalPath
   EXPECT_FALSE(env.agent.HasPendingBackgroundRestore(sb.id));
 
   DedupAgentStats stats = env.agent.stats();
-  EXPECT_EQ(stats.lazy_restores, 2u);
-  EXPECT_EQ(stats.background_completions, 1u);
-  EXPECT_EQ(stats.background_pages, bg.pages);
+  EXPECT_EQ(stats.lazy.lazy_restores, 2u);
+  EXPECT_EQ(stats.lazy.background_completions, 1u);
+  EXPECT_EQ(stats.lazy.background_pages, bg.pages);
 }
 
 // ---- Misprediction accounting --------------------------------------------
@@ -166,7 +181,7 @@ TEST(LazyRestoreTest, MispredictedPagesAreChargedAsFaults) {
   EXPECT_EQ(r.ws_fault_pages, touched.size());
   EXPECT_GT(r.fault_time, SimDuration{}) << "misprediction must not be free";
   EXPECT_EQ(r.total_time, r.critical_path_time + r.fault_time);
-  EXPECT_EQ(env.agent.stats().ws_fault_pages, touched.size());
+  EXPECT_EQ(env.agent.stats().lazy.ws_fault_pages, touched.size());
 
   ASSERT_TRUE(r.background_pending);
   EXPECT_TRUE(env.agent.CompleteBackgroundRestore(sb, SimTime{11}).verified);

@@ -11,6 +11,16 @@ RunMetrics MakeMetrics() {
   return m;
 }
 
+// Appends one request of `function` with the given startup and e2e (ms).
+void AddRequest(RunMetrics& m, FunctionId function, StartType start, int startup_ms, int e2e_ms) {
+  RequestRecord r;
+  r.function = function;
+  r.start = start;
+  r.startup = startup_ms * kMillisecond;
+  r.e2e = e2e_ms * kMillisecond;
+  m.requests.push_back(r);
+}
+
 TEST(MetricsTest, EmptyRunIsSafe) {
   RunMetrics m = MakeMetrics();
   EXPECT_EQ(m.TotalColdStarts(), 0u);
@@ -43,7 +53,8 @@ TEST(MetricsTest, MemoryTimelineStatistics) {
 TEST(MetricsTest, FunctionPercentile) {
   RunMetrics m = MakeMetrics();
   for (int i = 1; i <= 100; ++i) {
-    m.per_function[2].e2e_ms.Record(i);
+    AddRequest(m, 2, StartType::kWarm, 0, i);
+    AddRequest(m, 5, StartType::kWarm, 0, 1000 + i);  // another function's samples
   }
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(2, 0.5), 50.0);
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(2, 0.999), 100.0);
@@ -74,11 +85,25 @@ TEST(MetricsTest, FunctionPercentileExtremesAndEmpty) {
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(3, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(3, 1.0), 0.0);
   for (int i = 1; i <= 100; ++i) {
-    m.per_function[3].e2e_ms.Record(i);
+    AddRequest(m, 3, StartType::kCold, 0, i);
   }
   // p=0 pins to the minimum sample, p=1 to the maximum.
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(3, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(3, 1.0), 100.0);
+}
+
+TEST(MetricsTest, StartupPercentileIsNearestRankPerStartType) {
+  RunMetrics m = MakeMetrics();
+  EXPECT_DOUBLE_EQ(m.StartupPercentileMs(StartType::kDedup, 0.99), 0.0);
+  for (int i = 1; i <= 200; ++i) {
+    AddRequest(m, i % 10, StartType::kDedup, i, i + 3000);
+    AddRequest(m, i % 10, StartType::kCold, 5000 + i, 8000 + i);
+  }
+  // Nearest rank: ceil(0.99 * 200) = 198th smallest of 1..200.
+  EXPECT_DOUBLE_EQ(m.StartupPercentileMs(StartType::kDedup, 0.99), 198.0);
+  EXPECT_DOUBLE_EQ(m.StartupPercentileMs(StartType::kDedup, 1.0), 200.0);
+  EXPECT_DOUBLE_EQ(m.StartupPercentileMs(StartType::kCold, 0.5), 5100.0);
+  EXPECT_DOUBLE_EQ(m.StartupPercentileMs(StartType::kWarm, 0.5), 0.0);
 }
 
 TEST(MetricsTest, ImprovementFactorsRejectLengthMismatch) {
