@@ -83,6 +83,11 @@ RunSummary RunOnce(bool partitioned) {
   }
   summary.transport = transport->stats();
   summary.registry = registry.distributed_stats();
+  PublishMetrics(agent.stats());
+  PublishMetrics(registry.stats());
+  PublishMetrics(summary.registry);
+  PublishMetrics(fabric.stats());
+  PublishMetrics(summary.transport);
   return summary;
 }
 

@@ -100,6 +100,10 @@ RunResult RunConfig(size_t threads, int victims_per_function) {
   r.cache_hits = fabric.stats().cache_hits;
   r.cache_misses = fabric.stats().cache_misses;
   r.cache_hit_rate = fabric.stats().CacheHitRate();
+  PublishMetrics(agent.stats());
+  PublishMetrics(registry.stats());
+  PublishMetrics(fabric.stats());
+  PublishMetrics(fabric.transport()->stats());
   return r;
 }
 

@@ -18,7 +18,7 @@
 //     recovered sandbox re-validated against the live cluster.
 //
 // Output: BENCH_registry_persistence.json (or argv[1]); validate with
-//   python3 scripts/check_bench_json.py BENCH_registry_persistence.json \
+//   python3 scripts/check_bench_json.py BENCH_registry_persistence.json
 //       --bench registry_persistence
 // Env:   MEDES_REGISTRY_PERSISTENCE_MODE=smoke   CI-sized config
 #include <algorithm>
@@ -134,6 +134,8 @@ DrillResult RunPersistenceDrill(int nodes, SimDuration duration, double rate_sca
   const auto recovered = store::MakeStateStore(reopen);
   FingerprintRegistry registry(options.registry);
   d.report = RecoverInto(*recovered, registry, MakeRecoveryValidator(platform.cluster()));
+  PublishMetrics(d.report);
+  PublishMetrics(registry.stats());
   d.matches_live = d.report.recovered_sandboxes == d.live_base_sandboxes &&
                    d.report.rejected_sandboxes == 0 && d.report.store_state.clean;
 

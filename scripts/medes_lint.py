@@ -36,6 +36,13 @@ at any MEDES_THREADS setting) and the documented locking discipline:
                        through the store::StateStore seam so determinism,
                        crash recovery, and tier accounting stay centralized;
                        scattered file I/O would bypass all three.
+  metric-instrument    GetCounter( / GetGauge( / GetHistogram( /
+                       MetricsEnabled() in src/ outside src/obs/ and
+                       src/platform/metrics.cc. A module's stats struct is
+                       the one tally of its numbers; PublishMetrics in
+                       platform/metrics.cc copies it into the obs registry
+                       when a run ends. A per-event obs instrument would
+                       count the same events a second time.
 
 Any finding can be suppressed with an inline escape hatch on the same or the
 preceding line, naming the rule:
@@ -223,6 +230,33 @@ def check_direct_filesystem(rel: str, lines: list[str],
                         f"direct filesystem access ({m.group(1).strip()}) outside "
                         "src/store/ and bench/; durable state must flow through "
                         "the store::StateStore seam")
+            )
+
+
+# ---------------------------------------------------------------------------
+# Rule: metric-instrument
+
+METRIC_INSTRUMENT_RE = re.compile(r"(\bGetCounter\s*\(|\bGetGauge\s*\(|\bGetHistogram\s*\(|"
+                                  r"\bMetricsEnabled\s*\(\s*\))")
+METRIC_INSTRUMENT_ALLOWED_FILES = ("src/platform/metrics.cc",)
+METRIC_INSTRUMENT_ALLOWED_DIRS = ("src/obs/",)
+
+
+def check_metric_instrument(rel: str, lines: list[str],
+                            findings: list[Finding]) -> None:
+    if (not rel.startswith("src/") or rel in METRIC_INSTRUMENT_ALLOWED_FILES
+            or rel.startswith(METRIC_INSTRUMENT_ALLOWED_DIRS)):
+        return
+    for i, raw in enumerate(lines):
+        code = _strip_strings_and_comments(raw)
+        m = METRIC_INSTRUMENT_RE.search(code)
+        if m and "metric-instrument" not in _allowed_rules(lines, i):
+            findings.append(
+                Finding(rel, i + 1, "metric-instrument",
+                        f"obs instrument use ({m.group(1).strip()}) outside src/obs/ "
+                        "and src/platform/metrics.cc: count the event in the "
+                        "module's stats struct and publish it through "
+                        "PublishMetrics instead")
             )
 
 
@@ -487,6 +521,7 @@ PER_FILE_CHECKS = (
     check_wall_clock,
     check_raw_random,
     check_direct_filesystem,
+    check_metric_instrument,
     check_unordered_iteration,
     check_include_guard,
     check_self_contained,
@@ -533,6 +568,7 @@ FIXTURE_EXPECTATIONS = {
     "src/bad_wall_clock.cc": "wall-clock",
     "src/bad_raw_random.cc": "raw-random",
     "src/bad_filesystem.cc": "direct-filesystem",
+    "src/bad_metric_instrument.cc": "metric-instrument",
     "src/obs/export.cc": "unordered-iteration",
     "src/bad_guard.h": "include-guard",
     "src/bad_self_contained.h": "self-contained",

@@ -1,14 +1,17 @@
 // Simple value recorders used for experiment metrics: exact percentiles over
 // recorded samples, and the shared power-of-two bucketing convention used by
-// every order-independent histogram in the tree (net::LatencyHistogram,
+// every order-independent histogram in the tree (LatencyHistogram,
 // obs::Histogram).
 #ifndef MEDES_COMMON_HISTOGRAM_H_
 #define MEDES_COMMON_HISTOGRAM_H_
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/time.h"
 
 namespace medes {
 
@@ -37,6 +40,41 @@ inline constexpr int64_t Pow2BucketUpperBound(size_t bucket) {
   }
   return static_cast<int64_t>((1ull << bucket) - 1);
 }
+
+// Order-independent latency histogram over the power-of-two buckets, plus
+// the sum of every recorded value. Unlike SampleRecorder it stores no
+// per-sample state, so recording in any order yields identical contents.
+// Module stats structs hold these as their only tally of modelled stage
+// durations; the obs exporter publishes them as Prometheus histograms.
+class LatencyHistogram {
+ public:
+  static constexpr size_t kNumBuckets = kPow2HistogramBuckets;
+
+  void Record(SimDuration value) {
+    ++buckets_[BucketIndex(value)];
+    sum_ += value;
+  }
+  uint64_t Count(size_t bucket) const { return buckets_.at(bucket); }
+  uint64_t TotalCount() const {
+    uint64_t total = 0;
+    for (uint64_t b : buckets_) {
+      total += b;
+    }
+    return total;
+  }
+  SimDuration Sum() const { return sum_; }
+  // Inclusive upper bound of a bucket (us); bucket 0 holds <= 0.
+  static SimDuration BucketUpperBound(size_t bucket) {
+    return SimDuration{Pow2BucketUpperBound(bucket)};
+  }
+  static size_t BucketIndex(SimDuration value) { return Pow2BucketIndex(value.value()); }
+
+  bool operator==(const LatencyHistogram&) const = default;
+
+ private:
+  std::array<uint64_t, kNumBuckets> buckets_ = {};
+  SimDuration sum_;
+};
 
 // Records every sample; answers exact order statistics. Fine for the scale of
 // our experiments (at most a few million samples per run).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/obs.h"
 
 namespace medes {
 
@@ -100,33 +98,7 @@ double MedesController::AlphaFor(FunctionId function) const {
 IdleDecision MedesController::OnIdleExpiry(const Sandbox& sb, SimTime now,
                                            const obs::MessageTrace& trace) {
   const IdleDecision decision = DecideIdleExpiry(sb, now, trace);
-  if (obs::MetricsEnabled()) {
-    struct DecisionCounters {
-      obs::Counter* keep_warm;
-      obs::Counter* dedup;
-      obs::Counter* designate_base;
-    };
-    static const DecisionCounters counters = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-      auto get = [&](const char* value) {
-        return &registry.GetCounter("medes_controller_decisions_total",
-                                    "Idle-expiry decisions issued by the controller", "decision",
-                                    value);
-      };
-      return DecisionCounters{get("keep_warm"), get("dedup"), get("designate_base")};
-    }();
-    switch (decision) {
-      case IdleDecision::kKeepWarm:
-        counters.keep_warm->Add(1);
-        break;
-      case IdleDecision::kDedup:
-        counters.dedup->Add(1);
-        break;
-      case IdleDecision::kDesignateBase:
-        counters.designate_base->Add(1);
-        break;
-    }
-  }
+  ++stats_.decisions[static_cast<size_t>(decision)];
   return decision;
 }
 

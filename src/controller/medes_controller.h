@@ -10,6 +10,9 @@
 #ifndef MEDES_CONTROLLER_MEDES_CONTROLLER_H_
 #define MEDES_CONTROLLER_MEDES_CONTROLLER_H_
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -62,7 +65,14 @@ enum class IdleDecision {
   kDesignateBase,
 };
 
+inline constexpr size_t kNumIdleDecisions = 3;
+
 const char* ToString(IdleDecision decision);
+
+// Idle-expiry decisions issued, indexed by IdleDecision.
+struct ControllerStats {
+  std::array<uint64_t, kNumIdleDecisions> decisions = {};
+};
 
 // Modelled wire size of one controller decision message (a verdict plus
 // sandbox identity — tiny; the latency term dominates).
@@ -104,6 +114,8 @@ class MedesController {
   // Effective latency multiplier for `function` (override or global alpha).
   double AlphaFor(FunctionId function) const;
 
+  const ControllerStats& stats() const { return stats_; }
+
  private:
   IdleDecision DecideIdleExpiry(const Sandbox& sb, SimTime now, const obs::MessageTrace& trace);
 
@@ -126,6 +138,7 @@ class MedesController {
   NodeId controller_node_ = kInvalidNode;
   std::vector<FunctionTracking> tracking_;
   double scale_to_mb_;  // 1 / bytes_per_mb
+  ControllerStats stats_;
 };
 
 }  // namespace medes

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "store/state_store.h"
@@ -20,85 +19,6 @@
 namespace medes {
 
 namespace {
-
-struct AgentInstruments {
-  obs::Counter* dedup_ops;
-  obs::Counter* restore_ops;
-  obs::Counter* bases_designated;
-  obs::Counter* pages_deduped;
-  obs::Counter* pages_unique;
-  obs::Counter* patch_bytes;
-  obs::Counter* saved_bytes;
-  obs::Counter* base_pages_read;
-  obs::Histogram* dedup_op_us;
-  obs::Histogram* dedup_checkpoint_us;
-  obs::Histogram* dedup_lookup_us;
-  obs::Histogram* dedup_patch_us;
-  obs::Histogram* restore_op_us;
-  obs::Histogram* restore_base_read_us;
-  obs::Histogram* restore_compute_us;
-  obs::Histogram* restore_criu_us;
-  obs::Counter* ws_hit_pages;
-  obs::Counter* ws_fault_pages;
-  obs::Counter* background_pages;
-  obs::Histogram* restore_critical_us;
-  obs::Histogram* restore_fault_us;
-  obs::Histogram* restore_background_us;
-};
-
-const AgentInstruments& Instruments() {
-  static const AgentInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return AgentInstruments{
-        .dedup_ops = &registry.GetCounter("medes_dedup_ops_total", "Completed dedup operations"),
-        .restore_ops =
-            &registry.GetCounter("medes_restore_ops_total", "Completed restore operations"),
-        .bases_designated =
-            &registry.GetCounter("medes_bases_designated_total", "Sandboxes designated as bases"),
-        .pages_deduped =
-            &registry.GetCounter("medes_dedup_pages_deduped_total", "Pages replaced by patches"),
-        .pages_unique = &registry.GetCounter("medes_dedup_pages_unique_total",
-                                             "Pages kept whole (no acceptable base)"),
-        .patch_bytes =
-            &registry.GetCounter("medes_dedup_patch_bytes_total", "Bytes of accepted patches"),
-        .saved_bytes = &registry.GetCounter("medes_dedup_saved_bytes_total",
-                                            "Bytes saved versus the warm footprint"),
-        .base_pages_read = &registry.GetCounter("medes_restore_base_pages_read_total",
-                                                "Base pages fetched during restores"),
-        .dedup_op_us =
-            &registry.GetHistogram("medes_dedup_op_us", "Modelled end-to-end dedup time (us)"),
-        .dedup_checkpoint_us = &registry.GetHistogram("medes_dedup_checkpoint_us",
-                                                      "Dedup stage: checkpoint capture (us)"),
-        .dedup_lookup_us = &registry.GetHistogram("medes_dedup_lookup_us",
-                                                  "Dedup stage: registry lookups (us)"),
-        .dedup_patch_us = &registry.GetHistogram(
-            "medes_dedup_patch_us", "Dedup stage: base reads plus delta encoding (us)"),
-        .restore_op_us =
-            &registry.GetHistogram("medes_restore_op_us", "Modelled end-to-end restore time (us)"),
-        .restore_base_read_us = &registry.GetHistogram(
-            "medes_restore_base_read_us", "Restore stage: base page reading (us)"),
-        .restore_compute_us = &registry.GetHistogram(
-            "medes_restore_compute_us", "Restore stage: original page computing (us)"),
-        .restore_criu_us = &registry.GetHistogram(
-            "medes_restore_criu_us", "Restore stage: sandbox restoration via CRIU (us)"),
-        .ws_hit_pages = &registry.GetCounter("medes_restore_ws_hit_pages_total",
-                                             "Touched pages the predicted working set covered"),
-        .ws_fault_pages = &registry.GetCounter(
-            "medes_restore_ws_fault_pages_total",
-            "Touched pages outside the predicted working set (demand faults)"),
-        .background_pages = &registry.GetCounter(
-            "medes_restore_background_pages_total",
-            "Patched pages deferred to the background restore phase"),
-        .restore_critical_us = &registry.GetHistogram(
-            "medes_restore_critical_us", "Critical-path restore latency before resume (us)"),
-        .restore_fault_us = &registry.GetHistogram(
-            "medes_restore_fault_us", "Post-resume demand-fault penalty (us)"),
-        .restore_background_us = &registry.GetHistogram(
-            "medes_restore_background_us", "Background restore phase duration (us)"),
-    };
-  }();
-  return instruments;
-}
 
 // Indexes of `cp`'s resident (non-zero) pages, ascending.
 std::vector<size_t> ResidentPages(const MemoryCheckpoint& cp) {
@@ -383,20 +303,14 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
     MutexLock lock(stats_mu_);
     ++stats_.dedup_ops;
     stats_.pages_deduped += result.pages_deduped;
+    stats_.pages_unique += result.pages_unique;
     stats_.patch_bytes += result.patch_bytes;
     stats_.saved_bytes += result.saved_bytes;
-  }
-  if (obs::MetricsEnabled()) {
-    const AgentInstruments& ins = Instruments();
-    ins.dedup_ops->Add(1);
-    ins.pages_deduped->Add(result.pages_deduped);
-    ins.pages_unique->Add(result.pages_unique);
-    ins.patch_bytes->Add(result.patch_bytes);
-    ins.saved_bytes->Add(result.saved_bytes);
-    ins.dedup_op_us->Record(result.total_time.value());
-    ins.dedup_checkpoint_us->Record(result.checkpoint_time.value());
-    ins.dedup_lookup_us->Record(result.lookup_time.value());
-    ins.dedup_patch_us->Record(result.patch_time.value());
+    StageLatencies& lat = stats_.latency;
+    lat.dedup_op.Record(result.total_time);
+    lat.dedup_checkpoint.Record(result.checkpoint_time);
+    lat.dedup_lookup.Record(result.lookup_time);
+    lat.dedup_patch.Record(result.patch_time);
   }
   if (obs::TraceEnabled()) {
     // One span per pipeline stage, laid out sequentially from `now` in the
@@ -630,7 +544,13 @@ void DedupAgent::RecordRestore(const Sandbox& sb, SimTime now, const obs::TraceC
     MutexLock lock(stats_mu_);
     ++stats_.restore_ops;
     stats_.pages_restored += patched_pages - result.background_pages;
+    stats_.base_pages_read += result.base_pages_read;
     stats_.base_bytes_read += result.base_bytes_read;
+    StageLatencies& lat = stats_.latency;
+    lat.restore_op.Record(result.total_time);
+    lat.restore_base_read.Record(result.read_base_time);
+    lat.restore_compute.Record(result.compute_time);
+    lat.restore_criu.Record(result.sandbox_restore_time);
     LazyRestoreStats& lz = stats_.lazy;
     if (lazy) {
       ++lz.lazy_restores;
@@ -638,27 +558,14 @@ void DedupAgent::RecordRestore(const Sandbox& sb, SimTime now, const obs::TraceC
       lz.ws_touched_pages += result.ws_touched_pages;
       lz.ws_hit_pages += result.ws_hit_pages;
       lz.ws_fault_pages += result.ws_fault_pages;
+      lz.background_deferred_pages += result.background_pages;
       lz.fault_ms += ToMillis(result.fault_time);
+      lat.restore_critical.Record(result.critical_path_time);
+      lat.restore_fault.Record(result.fault_time);
     } else {
       ++lz.eager_restores;
     }
     lz.critical_path_ms.Record(ToMillis(result.critical_path_time));
-  }
-  if (obs::MetricsEnabled()) {
-    const AgentInstruments& ins = Instruments();
-    ins.restore_ops->Add(1);
-    ins.base_pages_read->Add(result.base_pages_read);
-    ins.restore_op_us->Record(result.total_time.value());
-    ins.restore_base_read_us->Record(result.read_base_time.value());
-    ins.restore_compute_us->Record(result.compute_time.value());
-    ins.restore_criu_us->Record(result.sandbox_restore_time.value());
-    if (lazy) {
-      ins.ws_hit_pages->Add(result.ws_hit_pages);
-      ins.ws_fault_pages->Add(result.ws_fault_pages);
-      ins.background_pages->Add(result.background_pages);
-      ins.restore_critical_us->Record(result.critical_path_time.value());
-      ins.restore_fault_us->Record(result.fault_time.value());
-    }
   }
   if (obs::TraceEnabled()) {
     // The three restore components of the paper's Fig. 8, sequential in the
@@ -736,15 +643,12 @@ BackgroundRestoreResult DedupAgent::CompleteBackgroundRestore(Sandbox& sb, SimTi
   {
     MutexLock lock(stats_mu_);
     stats_.pages_restored += result.pages;
+    stats_.base_pages_read += result.base_pages_read;
     stats_.base_bytes_read += result.base_bytes_read;
     ++stats_.lazy.background_completions;
     stats_.lazy.background_pages += result.pages;
     stats_.lazy.background_ms += ToMillis(result.total_time);
-  }
-  if (obs::MetricsEnabled()) {
-    const AgentInstruments& ins = Instruments();
-    ins.base_pages_read->Add(result.base_pages_read);
-    ins.restore_background_us->Record(result.total_time.value());
+    stats_.latency.restore_background.Record(result.total_time);
   }
   if (obs::TraceEnabled()) {
     obs::ScopedSpan span("restore/bg_fault", "restore", now, sb.node.value(), bg_ctx);
@@ -806,9 +710,6 @@ BaseSnapshot& DedupAgent::DesignateBase(Sandbox& sb, SimTime now, const obs::Tra
   {
     MutexLock lock(stats_mu_);
     ++stats_.bases_designated;
-  }
-  if (obs::MetricsEnabled()) {
-    Instruments().bases_designated->Add(1);
   }
   return cluster_.AddBaseSnapshot(sb, std::move(cp));
 }

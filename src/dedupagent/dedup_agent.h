@@ -143,6 +143,7 @@ struct LazyRestoreStats {
   uint64_t ws_touched_pages = 0;
   uint64_t ws_hit_pages = 0;
   uint64_t ws_fault_pages = 0;          // mispredicted post-resume touches
+  uint64_t background_deferred_pages = 0;  // patched pages left for the background
   uint64_t background_completions = 0;  // background phases run to completion
   uint64_t background_pages = 0;        // patched pages faulted in off-path
   double fault_ms = 0;       // post-resume demand-fault penalty
@@ -158,6 +159,24 @@ struct LazyRestoreStats {
   }
 };
 
+// Modelled durations (represented scale), one sample per op: the dedup
+// op's stages (DedupOpResult) and the restore op's Fig. 8 components
+// (RestoreOpResult). Critical-path and fault time are sampled for lazy
+// restores only; background time once per completed background phase.
+struct StageLatencies {
+  LatencyHistogram dedup_op;
+  LatencyHistogram dedup_checkpoint;
+  LatencyHistogram dedup_lookup;
+  LatencyHistogram dedup_patch;
+  LatencyHistogram restore_op;
+  LatencyHistogram restore_base_read;
+  LatencyHistogram restore_compute;
+  LatencyHistogram restore_criu;
+  LatencyHistogram restore_critical;
+  LatencyHistogram restore_fault;
+  LatencyHistogram restore_background;
+};
+
 // Cumulative per-agent counters, aggregated across every op the agent has
 // run, in op order: the single source of dedup, restore and designation
 // totals.
@@ -166,11 +185,14 @@ struct DedupAgentStats {
   uint64_t restore_ops = 0;
   uint64_t bases_designated = 0;
   uint64_t pages_deduped = 0;
+  uint64_t pages_unique = 0;
   uint64_t pages_restored = 0;
   uint64_t patch_bytes = 0;
   uint64_t saved_bytes = 0;
+  uint64_t base_pages_read = 0;  // restore and background phases
   uint64_t base_bytes_read = 0;
   LazyRestoreStats lazy;
+  StageLatencies latency;
 };
 
 struct RestoreOpResult {
@@ -322,7 +344,7 @@ class DedupAgent {
   PhaseCost RestoreRecords(Sandbox& sb, const std::vector<size_t>& records, bool batched,
                            const obs::MessageTrace& trace);
 
-  // Tallies a completed restore op and records its metrics and spans.
+  // Tallies a completed restore op into stats_ and records its spans.
   void RecordRestore(const Sandbox& sb, SimTime now, const obs::TraceContext& op_ctx,
                      const RestoreOpResult& result, size_t patched_pages, size_t fault_pages)
       EXCLUDES(stats_mu_);

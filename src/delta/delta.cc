@@ -170,9 +170,11 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
   if (options.seed_length < 4) {
     throw DeltaError("seed_length must be >= 4");
   }
-  out.clear();
   out.reserve(target.size() / 4 + 32);
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
+  // resize + memcpy rather than insert: GCC 12 at -O3 reports a false
+  // -Wstringop-overflow / -Warray-bounds on the range insert.
+  out.resize(sizeof(kMagic));
+  std::memcpy(out.data(), kMagic, sizeof(kMagic));
   AppendVarint(out, base.size());
   AppendVarint(out, target.size());
 

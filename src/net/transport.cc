@@ -3,49 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace medes {
-
-namespace {
-
-// Per-MessageType observability instruments, resolved once. Only touched
-// behind an obs::MetricsEnabled() guard so disabled builds/runs skip even the
-// lazy-init check.
-struct TransportInstruments {
-  std::array<obs::Counter*, kNumMessageTypes> messages;
-  std::array<obs::Counter*, kNumMessageTypes> bytes;
-  std::array<obs::Counter*, kNumMessageTypes> dropped;
-  std::array<obs::Histogram*, kNumMessageTypes> latency;
-};
-
-const TransportInstruments& Instruments() {
-  static const TransportInstruments instruments = [] {
-    TransportInstruments out;
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    for (size_t i = 0; i < kNumMessageTypes; ++i) {
-      const char* type = ToString(static_cast<MessageType>(i));
-      out.messages[i] = &registry.GetCounter("medes_transport_messages_total",
-                                             "Messages sent over the modelled transport", "type",
-                                             type);
-      out.bytes[i] = &registry.GetCounter("medes_transport_bytes_total",
-                                          "Payload bytes attempted over the modelled transport",
-                                          "type", type);
-      out.dropped[i] = &registry.GetCounter("medes_transport_dropped_total",
-                                            "Messages lost to the installed fault policy", "type",
-                                            type);
-      out.latency[i] = &registry.GetHistogram("medes_transport_latency_us",
-                                              "Modelled cost of delivered messages (us)", "type",
-                                              type);
-    }
-    return out;
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 const char* ToString(MessageType type) {
   switch (type) {
@@ -217,17 +178,6 @@ Transport::SendResult Transport::Send(MessageType type, NodeId src, NodeId dst, 
       ms.latency.Record(result.cost);
     } else {
       ++ms.dropped;
-    }
-  }
-  if (obs::MetricsEnabled()) {
-    const auto idx = static_cast<size_t>(type);
-    const TransportInstruments& ins = Instruments();
-    ins.messages[idx]->Add(1);
-    ins.bytes[idx]->Add(bytes.value());
-    if (result.delivered) {
-      ins.latency[idx]->Record(result.cost.value());
-    } else {
-      ins.dropped[idx]->Add(1);
     }
   }
   if (obs::TraceEnabled() && trace.ctx.sampled()) {

@@ -174,35 +174,6 @@ class StaticFaultPolicy : public FaultPolicy {
 
 // ---- Stats ---------------------------------------------------------------
 
-// Order-independent latency histogram using the shared power-of-two bucket
-// convention (common/histogram.h). Unlike SampleRecorder it stores no
-// per-sample state, so concurrent recording in any order yields identical
-// contents.
-class LatencyHistogram {
- public:
-  static constexpr size_t kNumBuckets = kPow2HistogramBuckets;
-
-  void Record(SimDuration value) { ++buckets_[BucketIndex(value)]; }
-  uint64_t Count(size_t bucket) const { return buckets_.at(bucket); }
-  uint64_t TotalCount() const {
-    uint64_t total = 0;
-    for (uint64_t b : buckets_) {
-      total += b;
-    }
-    return total;
-  }
-  // Inclusive upper bound of a bucket (us); bucket 0 holds <= 0.
-  static SimDuration BucketUpperBound(size_t bucket) {
-    return SimDuration{Pow2BucketUpperBound(bucket)};
-  }
-  static size_t BucketIndex(SimDuration value) { return Pow2BucketIndex(value.value()); }
-
-  bool operator==(const LatencyHistogram&) const = default;
-
- private:
-  std::array<uint64_t, kNumBuckets> buckets_ = {};
-};
-
 struct MessageStats {
   uint64_t messages = 0;       // sends (delivered or dropped)
   uint64_t requests = 0;       // logical requests batched into those messages

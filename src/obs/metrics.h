@@ -1,18 +1,19 @@
 // Metrics registry: named Counter / Gauge / Histogram instruments.
 //
-// Instruments are cheap atomics with an allocation-free hot path. The
-// intended call-site pattern resolves an instrument once into a function-local
-// static reference, so steady-state recording is one relaxed atomic flag load
-// plus one (or for histograms, two) relaxed atomic RMWs:
+// Each number the simulator exports has one tally: the stats struct of the
+// module that counts it (DedupAgentStats, RdmaStats, RegistryStats, ...).
+// Nothing outside src/obs records into these instruments per event. Instead
+// platform/metrics.h's PublishMetrics overloads add a finished run's struct
+// totals into the registry once, when the run ends:
 //
-//   static obs::Counter& hits =
-//       obs::MetricsRegistry::Default().GetCounter("medes_rdma_cache_hits_total",
-//                                                  "Base-page cache hits");
-//   hits.Add(1);
+//   obs::MetricsRegistry::Default()
+//       .GetCounter("medes_rdma_cache_hits_total", "Base-page cache hits")
+//       .Add(stats.cache_hits);
 //
-// Recording is gated on MetricsEnabled() (obs/obs.h) inside the instrument,
-// so call sites never need their own guard. Registered instruments live for
-// the process lifetime at stable addresses.
+// Counters accumulate across the runs of one process; gauges hold the last
+// published value; Histogram::Merge adds a struct's LatencyHistogram.
+// Recording is gated on MetricsEnabled() (obs/obs.h) inside the instrument.
+// Registered instruments live for the process lifetime at stable addresses.
 //
 // Determinism contract: counters and gauges are plain sums, and histograms
 // use the shared power-of-two bucket convention (common/histogram.h), so all
@@ -28,7 +29,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -98,6 +98,15 @@ class Histogram {
       total += b.load(std::memory_order_relaxed);
     }
     return total;
+  }
+  // Adds every bucket count and the sum of `h` (a stats struct's tally).
+  void Merge(const LatencyHistogram& h) {
+    if (MetricsEnabled()) {
+      for (size_t b = 0; b < kNumBuckets; ++b) {
+        buckets_[b].fetch_add(h.Count(b), std::memory_order_relaxed);
+      }
+      sum_.fetch_add(h.Sum().value(), std::memory_order_relaxed);
+    }
   }
   void Reset() {
     for (auto& b : buckets_) {
@@ -199,33 +208,6 @@ class MetricsRegistry {
   // Per-kind overflow sinks (indexed by InstrumentKind); excluded from
   // Snapshot() and NumInstruments() — only the drop count is exported.
   std::array<std::unique_ptr<Instrument>, 3> overflow_ GUARDED_BY(mu_);
-};
-
-// ---- Sim-time snapshot poller --------------------------------------------
-
-// A time series of registry snapshots taken at simulation timestamps (the
-// platform samples alongside its periodic memory sampling). Counter and gauge
-// values only — histograms are exported once at end of run.
-class SnapshotSeries {
- public:
-  struct Point {
-    SimTime t;
-    // (name or name{label}, value) pairs, sorted by the rendered key.
-    std::vector<std::pair<std::string, int64_t>> values;
-  };
-
-  static SnapshotSeries& Default();
-
-  // Appends one sample of every counter/gauge in MetricsRegistry::Default().
-  // No-op when metrics are disabled.
-  void Sample(SimTime now) EXCLUDES(mu_);
-
-  std::vector<Point> Points() const EXCLUDES(mu_);
-  void Clear() EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_{"obs snapshot series", LockRank::kObsBuffer};
-  std::vector<Point> points_ GUARDED_BY(mu_);
 };
 
 }  // namespace medes::obs

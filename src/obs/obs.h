@@ -1,11 +1,13 @@
 // Observability runtime switches.
 //
 // The tracing layer (obs/trace.h) and the metrics registry (obs/metrics.h)
-// are both gated on process-wide flags so instrumented hot paths cost one
-// relaxed atomic load and a predictable branch when observability is off:
+// are both gated on process-wide flags so traced hot paths cost one relaxed
+// atomic load and a predictable branch when observability is off:
 //
 //   - MEDES_TRACE=1    enables span recording (Chrome-trace export).
-//   - MEDES_METRICS=1  enables counter/gauge/histogram recording.
+//   - MEDES_METRICS=1  publishes each run's totals when the run ends: the
+//     PublishMetrics overloads (platform/metrics.h) copy the module stats
+//     structs into the counter/gauge/histogram registry.
 //   - MEDES_TRACE_WALL=1 additionally stamps spans with measured wall-clock
 //     durations. Wall times are inherently nondeterministic, so this knob is
 //     excluded from the bit-identical-across-thread-counts contract.

@@ -11,11 +11,15 @@
 
 #include "common/histogram.h"
 #include "common/time.h"
+#include "controller/medes_controller.h"
 #include "dedupagent/dedup_agent.h"
 #include "memstate/profiles.h"
 #include "net/transport.h"
 #include "rdma/rdma.h"
+#include "registry/distributed_registry.h"
 #include "registry/fingerprint_registry.h"
+#include "registry/registry_recovery.h"
+#include "sim/simulation.h"
 #include "store/state_store.h"
 
 namespace medes {
@@ -117,6 +121,28 @@ struct RunMetrics {
 // Distribution of per-request improvement factors (baseline e2e / medes e2e),
 // matched request-by-request; both runs must come from the same trace.
 std::vector<double> ImprovementFactors(const RunMetrics& medes, const RunMetrics& baseline);
+
+// Publishing into obs::MetricsRegistry::Default(). Each module's stats
+// struct is the one tally of its numbers; a finished run adds each struct's
+// totals into the registry's counters and histograms once (gauges take the
+// value), under the metric names the Prometheus export carries. Call each
+// overload once per object, when its run ends; counters then sum over the
+// runs of one process. Every overload returns at once unless
+// obs::MetricsEnabled(). ServerlessPlatform::Run publishes everything it
+// owns; code that drives modules directly publishes them itself.
+//
+// The RunMetrics overload covers the platform's own series: requests by
+// start type, e2e and startup latency (from `requests`), spawns, evictions,
+// overcommits, and the memory-level gauges (from memory_timeline.back()).
+void PublishMetrics(const RunMetrics& metrics);
+void PublishMetrics(const DedupAgentStats& stats);
+void PublishMetrics(const RdmaStats& stats);
+void PublishMetrics(const RegistryStats& stats);
+void PublishMetrics(const DistributedRegistryStats& stats);
+void PublishMetrics(const TransportStats& stats);
+void PublishMetrics(const RecoveryReport& report);
+void PublishMetrics(const ControllerStats& stats);
+void PublishMetrics(const SimStats& stats);
 
 }  // namespace medes
 

@@ -5,67 +5,11 @@
 
 #include "common/logging.h"
 #include "common/mutex.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 
 namespace medes {
-
-namespace {
-
-struct PlatformInstruments {
-  obs::Counter* warm_starts;
-  obs::Counter* dedup_starts;
-  obs::Counter* cold_starts;
-  obs::Counter* spawns;
-  obs::Counter* evictions;
-  obs::Counter* overcommits;
-  obs::Gauge* live_sandboxes;
-  obs::Gauge* warm_sandboxes;
-  obs::Gauge* dedup_sandboxes;
-  obs::Gauge* base_snapshots;
-  obs::Gauge* used_mb;
-  obs::Histogram* e2e_us;
-  obs::Histogram* startup_us;
-};
-
-const PlatformInstruments& Instruments() {
-  static const PlatformInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    auto starts = [&](const char* value) {
-      return &registry.GetCounter("medes_platform_requests_total",
-                                  "Requests served, by start type", "start_type", value);
-    };
-    return PlatformInstruments{
-        .warm_starts = starts(ToString(StartType::kWarm)),
-        .dedup_starts = starts(ToString(StartType::kDedup)),
-        .cold_starts = starts(ToString(StartType::kCold)),
-        .spawns = &registry.GetCounter("medes_platform_spawns_total", "Cold sandbox spawns"),
-        .evictions =
-            &registry.GetCounter("medes_platform_evictions_total", "Sandboxes/bases evicted"),
-        .overcommits = &registry.GetCounter("medes_platform_overcommit_events_total",
-                                            "Requests admitted despite not fitting in memory"),
-        .live_sandboxes =
-            &registry.GetGauge("medes_platform_live_sandboxes", "Sandboxes currently alive"),
-        .warm_sandboxes =
-            &registry.GetGauge("medes_platform_warm_sandboxes", "Sandboxes currently warm"),
-        .dedup_sandboxes = &registry.GetGauge("medes_platform_dedup_sandboxes",
-                                              "Sandboxes currently in dedup state"),
-        .base_snapshots =
-            &registry.GetGauge("medes_platform_base_snapshots", "Live base snapshots"),
-        .used_mb =
-            &registry.GetGauge("medes_platform_used_mb", "Cluster memory in use (modelled MB)"),
-        .e2e_us = &registry.GetHistogram("medes_platform_e2e_us",
-                                         "End-to-end request latency (us)"),
-        .startup_us =
-            &registry.GetHistogram("medes_platform_startup_us", "Request startup latency (us)"),
-    };
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 const char* ToString(PolicyKind kind) {
   switch (kind) {
@@ -171,6 +115,15 @@ class ServerlessPlatform::Impl {
     const RdmaStats rdma_stats = fabric_.stats();
     const TransportStats transport_stats = transport_->stats();
     const store::StoreStats store_stats = store_->stats();
+    PublishMetrics(agent_stats);
+    PublishMetrics(registry_stats);
+    PublishMetrics(rdma_stats);
+    PublishMetrics(transport_stats);
+    PublishMetrics(controller_.stats());
+    PublishMetrics(sim_.stats());
+    if (const auto* dist = dynamic_cast<const DistributedRegistry*>(registry_.get())) {
+      PublishMetrics(dist->distributed_stats());
+    }
     MutexLock lock(metrics_mu_);
     metrics_.dedup_ops = agent_stats.dedup_ops;
     metrics_.sandboxes_deduped = agent_stats.dedup_ops;
@@ -181,6 +134,7 @@ class ServerlessPlatform::Impl {
     metrics_.rdma = rdma_stats;
     metrics_.transport = transport_stats;
     metrics_.store = store_stats;
+    PublishMetrics(metrics_);
     return std::move(metrics_);
   }
 
@@ -350,9 +304,6 @@ class ServerlessPlatform::Impl {
       MutexLock lock(metrics_mu_);
       ++metrics_.evictions;
     }
-    if (obs::MetricsEnabled()) {
-      Instruments().evictions->Add(1);
-    }
     obs::RecordInstant("evict", "platform", sim_.Now(), node.value());
   }
 
@@ -426,18 +377,12 @@ class ServerlessPlatform::Impl {
           MutexLock lock(metrics_mu_);
           ++metrics_.overcommit_events;
         }
-        if (obs::MetricsEnabled()) {
-          Instruments().overcommits->Add(1);
-        }
         obs::RecordInstant("overcommit", "platform", now, node.value());
       }
       sb = &cluster_.Spawn(profile, node, now);
       {
         MutexLock lock(metrics_mu_);
         ++metrics_.sandboxes_spawned;
-      }
-      if (obs::MetricsEnabled()) {
-        Instruments().spawns->Add(1);
       }
       obs::RecordInstant("spawn", "platform", now, node.value());
       type = StartType::kCold;
@@ -461,22 +406,6 @@ class ServerlessPlatform::Impl {
           ++fm.cold_starts;
           break;
       }
-    }
-    if (obs::MetricsEnabled()) {
-      const PlatformInstruments& ins = Instruments();
-      switch (type) {
-        case StartType::kWarm:
-          ins.warm_starts->Add(1);
-          break;
-        case StartType::kDedup:
-          ins.dedup_starts->Add(1);
-          break;
-        case StartType::kCold:
-          ins.cold_starts->Add(1);
-          break;
-      }
-      ins.e2e_us->Record(e2e.value());
-      ins.startup_us->Record(startup.value());
     }
     if (obs::TraceEnabled()) {
       obs::ScopedSpan span("request", "platform", now, sb->node.value(), ctx);
@@ -634,17 +563,6 @@ class ServerlessPlatform::Impl {
       }
     }
     s.bases = cluster_.base_snapshots().size();
-    if (obs::MetricsEnabled()) {
-      // Refresh the level gauges, then append one point to the sim-time
-      // snapshot series (the poller the exporters read back).
-      const PlatformInstruments& ins = Instruments();
-      ins.live_sandboxes->Set(static_cast<int64_t>(s.sandboxes));
-      ins.warm_sandboxes->Set(static_cast<int64_t>(s.warm));
-      ins.dedup_sandboxes->Set(static_cast<int64_t>(s.dedup));
-      ins.base_snapshots->Set(static_cast<int64_t>(s.bases));
-      ins.used_mb->Set(static_cast<int64_t>(s.used_mb));
-      obs::SnapshotSeries::Default().Sample(s.time);
-    }
     MutexLock lock(metrics_mu_);
     metrics_.memory_timeline.push_back(std::move(s));
   }

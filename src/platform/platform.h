@@ -81,7 +81,8 @@ class ServerlessPlatform {
   ServerlessPlatform(const ServerlessPlatform&) = delete;
   ServerlessPlatform& operator=(const ServerlessPlatform&) = delete;
 
-  // Replays `trace` to completion and returns the collected metrics.
+  // Replays `trace` to completion and returns the collected metrics. With
+  // MEDES_METRICS on, it also publishes the run's stats (PublishMetrics).
   // Run() may be called once per platform instance.
   RunMetrics Run(const std::vector<TraceEvent>& trace);
 

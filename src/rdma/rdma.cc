@@ -2,55 +2,9 @@
 
 #include <map>
 
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "store/state_store.h"
 
 namespace medes {
-
-namespace {
-
-struct RdmaInstruments {
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
-  obs::Counter* cache_evictions;
-  obs::Counter* remote_reads;
-  obs::Counter* remote_bytes;
-  obs::Counter* local_reads;
-  obs::Counter* local_bytes;
-  obs::Counter* batch_messages;
-  obs::Counter* batch_pages;
-};
-
-const RdmaInstruments& Instruments() {
-  static const RdmaInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return RdmaInstruments{
-        .cache_hits = &registry.GetCounter("medes_rdma_cache_hits_total",
-                                           "Base-page reads served from the local page cache"),
-        .cache_misses = &registry.GetCounter("medes_rdma_cache_misses_total",
-                                             "Base-page reads that missed the page cache"),
-        .cache_evictions = &registry.GetCounter("medes_rdma_cache_evictions_total",
-                                                "Pages evicted from the base-page cache"),
-        .remote_reads = &registry.GetCounter("medes_rdma_remote_reads_total",
-                                             "One-sided base-page reads from a remote node"),
-        .remote_bytes = &registry.GetCounter("medes_rdma_remote_bytes_total",
-                                             "Bytes read one-sided from remote nodes"),
-        .local_reads = &registry.GetCounter("medes_rdma_local_reads_total",
-                                            "Base-page reads served by the local node"),
-        .local_bytes = &registry.GetCounter("medes_rdma_local_bytes_total",
-                                            "Bytes read from the local node"),
-        .batch_messages = &registry.GetCounter(
-            "medes_rdma_batch_messages_total",
-            "Coalesced base-read messages sent (one per owner node per batch)"),
-        .batch_pages = &registry.GetCounter("medes_rdma_batch_pages_total",
-                                            "Base pages fetched through batched reads"),
-    };
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 RdmaFabric::RdmaFabric(RdmaOptions options, PageProvider provider,
                        std::shared_ptr<Transport> transport)
@@ -106,9 +60,6 @@ std::vector<uint8_t> RdmaFabric::ReadPage(const PageLocation& location, NodeId r
     MutexLock lock(cache_mu_);
     if (const std::vector<uint8_t>* cached = CacheLookup(location)) {
       ++stats_.cache_hits;
-      if (obs::MetricsEnabled()) {
-        Instruments().cache_hits->Add(1);
-      }
       if (cost != nullptr) {
         *cost += options_.cache_hit_latency;
       }
@@ -137,7 +88,6 @@ std::vector<uint8_t> RdmaFabric::ReadPage(const PageLocation& location, NodeId r
   if (store_ != nullptr) {
     store_->TouchBasePage(location.sandbox, location.page_index, cost);
   }
-  size_t evictions = 0;
   {
     MutexLock lock(cache_mu_);
     if (remote) {
@@ -149,23 +99,7 @@ std::vector<uint8_t> RdmaFabric::ReadPage(const PageLocation& location, NodeId r
     }
     if (options_.page_cache_capacity > 0) {
       ++stats_.cache_misses;
-      const uint64_t before = stats_.cache_evictions;
       CacheInsert(location, bytes);
-      evictions = stats_.cache_evictions - before;
-    }
-  }
-  if (obs::MetricsEnabled()) {
-    const RdmaInstruments& ins = Instruments();
-    if (remote) {
-      ins.remote_reads->Add(1);
-      ins.remote_bytes->Add(bytes.size());
-    } else {
-      ins.local_reads->Add(1);
-      ins.local_bytes->Add(bytes.size());
-    }
-    if (options_.page_cache_capacity > 0) {
-      ins.cache_misses->Add(1);
-      ins.cache_evictions->Add(evictions);
     }
   }
   if (cost != nullptr) {
@@ -215,9 +149,6 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
     }
     stats_.cache_hits += hits;
   }
-  if (hits > 0 && obs::MetricsEnabled()) {
-    Instruments().cache_hits->Add(static_cast<uint64_t>(hits));
-  }
 
   // 2. Fetch the misses, one coalesced wire message per owner node (the
   // iteration order is NodeId order — deterministic regardless of the
@@ -259,7 +190,6 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
       }
     }
     const bool remote = node != reader_node;
-    uint64_t evictions = 0;
     {
       MutexLock lock(cache_mu_);
       ++stats_.batch_messages;
@@ -274,26 +204,8 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
         }
         if (options_.page_cache_capacity > 0) {
           ++stats_.cache_misses;
-          const uint64_t before = stats_.cache_evictions;
           CacheInsert(locations[i], results[i]);
-          evictions += stats_.cache_evictions - before;
         }
-      }
-    }
-    if (obs::MetricsEnabled()) {
-      const RdmaInstruments& ins = Instruments();
-      ins.batch_messages->Add(1);
-      ins.batch_pages->Add(static_cast<uint64_t>(idxs.size()));
-      if (remote) {
-        ins.remote_reads->Add(static_cast<uint64_t>(idxs.size()));
-        ins.remote_bytes->Add(static_cast<uint64_t>(group_bytes));
-      } else {
-        ins.local_reads->Add(static_cast<uint64_t>(idxs.size()));
-        ins.local_bytes->Add(static_cast<uint64_t>(group_bytes));
-      }
-      if (options_.page_cache_capacity > 0) {
-        ins.cache_misses->Add(static_cast<uint64_t>(idxs.size()));
-        ins.cache_evictions->Add(static_cast<uint64_t>(evictions));
       }
     }
   }
@@ -315,13 +227,8 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
     }
   }
   if (alias_hits > 0) {
-    {
-      MutexLock lock(cache_mu_);
-      stats_.cache_hits += alias_hits;
-    }
-    if (obs::MetricsEnabled()) {
-      Instruments().cache_hits->Add(static_cast<uint64_t>(alias_hits));
-    }
+    MutexLock lock(cache_mu_);
+    stats_.cache_hits += alias_hits;
   }
   return results;
 }

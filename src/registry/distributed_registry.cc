@@ -5,43 +5,11 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "store/state_store.h"
 
 namespace medes {
-
-namespace {
-
-struct DistRegistryInstruments {
-  obs::Counter* failovers;
-  obs::Counter* unavailable_lookups;
-  obs::Counter* dropped_writes;
-  obs::Counter* replica_syncs;
-};
-
-const DistRegistryInstruments& Instruments() {
-  static const DistRegistryInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return DistRegistryInstruments{
-        .failovers = &registry.GetCounter(
-            "medes_distregistry_failovers_total",
-            "Page lookups served by a non-tail replica after a failover"),
-        .unavailable_lookups = &registry.GetCounter(
-            "medes_distregistry_unavailable_lookups_total",
-            "Page lookups degraded to empty because a shard had no serving replica"),
-        .dropped_writes =
-            &registry.GetCounter("medes_distregistry_dropped_writes_total",
-                                 "Per-shard insert writes lost to partitions or drops"),
-        .replica_syncs = &registry.GetCounter("medes_distregistry_replica_syncs_total",
-                                              "Completed replica recovery state transfers"),
-    };
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 DistributedRegistry::DistributedRegistry(DistributedRegistryOptions options,
                                          std::shared_ptr<Transport> transport)
@@ -131,9 +99,6 @@ void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
       }
     }
     if (entry < 0) {
-      if (obs::MetricsEnabled()) {
-        Instruments().dropped_writes->Add(1);
-      }
       MutexLock stats(stats_mu_);
       ++dist_stats_.dropped_writes;
       continue;
@@ -144,9 +109,6 @@ void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
                              kRegistryWireBytesPerKey,
                          fingerprints.size(), ShardTrace(trace, static_cast<size_t>(s)));
     if (!sent.delivered) {
-      if (obs::MetricsEnabled()) {
-        Instruments().dropped_writes->Add(1);
-      }
       MutexLock stats(stats_mu_);
       ++dist_stats_.dropped_writes;
       continue;
@@ -257,9 +219,6 @@ std::vector<std::vector<BasePageCandidate>> DistributedRegistry::FindBasePagesBa
     Shard& shard = shards_[s];
     int tail = EffectiveTail(shard, static_cast<int>(s));
     if (tail < 0) {
-      if (obs::MetricsEnabled()) {
-        Instruments().unavailable_lookups->Add(page_lookups);
-      }
       MutexLock stats(stats_mu_);
       dist_stats_.unavailable_lookups += page_lookups;
       continue;
@@ -288,17 +247,11 @@ std::vector<std::vector<BasePageCandidate>> DistributedRegistry::FindBasePagesBa
     if (!sent.delivered) {
       // Lost on the wire (link fault): same client-visible outcome as an
       // all-down shard — the batch degrades to fewer candidates.
-      if (obs::MetricsEnabled()) {
-        Instruments().unavailable_lookups->Add(page_lookups);
-      }
       MutexLock stats(stats_mu_);
       dist_stats_.unavailable_lookups += page_lookups;
       continue;
     }
     const bool failover = tail != static_cast<int>(shard.chain.size()) - 1;
-    if (failover && obs::MetricsEnabled()) {
-      Instruments().failovers->Add(page_lookups);
-    }
     {
       MutexLock stats(stats_mu_);
       if (failover) {
@@ -361,16 +314,20 @@ RegistryStats DistributedRegistry::stats() const {
   ReaderLock topology(topology_mu_);
   for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
     const Shard& shard = shards_[static_cast<size_t>(s)];
-    int tail = EffectiveTail(shard, s);
-    if (tail < 0) {
-      continue;
+    const int tail = EffectiveTail(shard, s);
+    for (int r = 0; r < static_cast<int>(shard.chain.size()); ++r) {
+      const RegistryStats st = shard.chain[static_cast<size_t>(r)].registry.stats();
+      total.inserts += st.inserts;
+      total.insert_keys += st.insert_keys;
+      total.removes += st.removes;
+      if (r == tail) {
+        total.num_keys += st.num_keys;
+        total.num_entries += st.num_entries;
+        total.num_base_sandboxes = std::max(total.num_base_sandboxes, st.num_base_sandboxes);
+        total.lookups += st.lookups;
+        total.key_hits += st.key_hits;
+      }
     }
-    RegistryStats st = shard.chain[static_cast<size_t>(tail)].registry.stats();
-    total.num_keys += st.num_keys;
-    total.num_entries += st.num_entries;
-    total.num_base_sandboxes = std::max(total.num_base_sandboxes, st.num_base_sandboxes);
-    total.lookups += st.lookups;
-    total.key_hits += st.key_hits;
   }
   return total;
 }
@@ -429,9 +386,8 @@ void DistributedRegistry::RecoverReplica(int shard, int replica) {
   }
   r.registry = source;  // state transfer
   r.alive = true;
-  if (obs::MetricsEnabled()) {
-    Instruments().replica_syncs->Add(1);
-  }
+  MutexLock stats(stats_mu_);
+  ++dist_stats_.replica_syncs;
 }
 
 }  // namespace medes

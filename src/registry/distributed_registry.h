@@ -62,6 +62,7 @@ struct DistributedRegistryStats {
   uint64_t unavailable_lookups = 0;  // key lookups that hit an all-down shard
   uint64_t dropped_writes = 0;       // inserts that hit an all-down shard
   uint64_t failovers = 0;            // tail reads served by a non-tail replica
+  uint64_t replica_syncs = 0;        // completed RecoverReplica state transfers
 };
 
 class DistributedRegistry : public RegistryBackend {
@@ -103,7 +104,8 @@ class DistributedRegistry : public RegistryBackend {
   // replicated write is still one durable record).
   void BindStateStore(std::shared_ptr<store::StateStore> store) override;
 
-  // Aggregated table stats across shard tails.
+  // Table stats and lookups aggregated across shard tails; inserts, insert
+  // keys and removes summed over every replica.
   [[nodiscard]] RegistryStats stats() const override;
   // Consistent snapshot (counters advance under their own lock).
   DistributedRegistryStats distributed_stats() const EXCLUDES(stats_mu_);

@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/mutex.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "store/state_store.h"
@@ -20,36 +19,6 @@ size_t RoundUpPow2(size_t v) {
     p <<= 1;
   }
   return p;
-}
-
-struct RegistryInstruments {
-  obs::Counter* lookups;
-  obs::Counter* batches;
-  obs::Counter* inserts;
-  obs::Counter* insert_keys;
-  obs::Counter* removes;
-  obs::Histogram* batch_cost_us;
-};
-
-const RegistryInstruments& Instruments() {
-  static const RegistryInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return RegistryInstruments{
-        .lookups = &registry.GetCounter("medes_registry_lookups_total",
-                                        "Per-page fingerprint lookups against the registry"),
-        .batches = &registry.GetCounter("medes_registry_lookup_batches_total",
-                                        "Batched lookup round trips to the registry"),
-        .inserts = &registry.GetCounter("medes_registry_inserts_total",
-                                        "Base-sandbox fingerprint inserts"),
-        .insert_keys = &registry.GetCounter("medes_registry_insert_keys_total",
-                                            "Chunk keys carried by base-sandbox inserts"),
-        .removes = &registry.GetCounter("medes_registry_removes_total",
-                                        "Base sandboxes removed from the registry"),
-        .batch_cost_us = &registry.GetHistogram(
-            "medes_registry_batch_cost_us", "Modelled cost of one batched lookup (us)"),
-    };
-  }();
-  return instruments;
 }
 
 }  // namespace
@@ -134,11 +103,11 @@ void FingerprintRegistry::BindStateStore(std::shared_ptr<store::StateStore> stor
 void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
                                             const std::vector<PageFingerprint>& fingerprints,
                                             const obs::MessageTrace& trace) {
+  size_t keys = 0;
+  for (const PageFingerprint& fp : fingerprints) {
+    keys += fp.chunks.size();
+  }
   if (transport_ != nullptr) {
-    size_t keys = 0;
-    for (const PageFingerprint& fp : fingerprints) {
-      keys += fp.chunks.size();
-    }
     const auto sent = transport_->Send(MessageType::kRegistryInsert, node, registry_node_,
                                        static_cast<uint64_t>(keys) * kRegistryWireBytesPerKey,
                            fingerprints.size(), trace);
@@ -146,13 +115,10 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
       return;  // insert lost: the sandbox is simply never registered
     }
   }
-  if (obs::MetricsEnabled()) {
-    size_t keys = 0;
-    for (const PageFingerprint& fp : fingerprints) {
-      keys += fp.chunks.size();
-    }
-    Instruments().inserts->Add(1);
-    Instruments().insert_keys->Add(keys);
+  {
+    MutexLock lock(work_mu_);
+    ++work_.inserts;
+    work_.insert_keys += keys;
   }
   {
     WriterLock lock(sandbox_mu_);
@@ -177,8 +143,9 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
 }
 
 void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
-  if (obs::MetricsEnabled()) {
-    Instruments().removes->Add(1);
+  {
+    MutexLock lock(work_mu_);
+    ++work_.removes;
   }
   {
     WriterLock lock(sandbox_mu_);
@@ -238,9 +205,6 @@ std::vector<BasePageCandidate> FingerprintRegistry::FindBasePages(
     const PageFingerprint& fingerprint, NodeId local_node, SandboxId exclude_sandbox,
     size_t max_results) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::MetricsEnabled()) {
-    Instruments().lookups->Add(1);
-  }
   std::unordered_map<PageLocation, int, PageLocationHash> tally;
   AccumulateTally(fingerprint, exclude_sandbox, tally);
   return RankCandidates(tally, local_node, max_results);
@@ -251,9 +215,9 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
     SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost,
     const obs::MessageTrace& trace) {
   lookups_.fetch_add(fingerprints.size(), std::memory_order_relaxed);
-  if (obs::MetricsEnabled()) {
-    Instruments().lookups->Add(fingerprints.size());
-    Instruments().batches->Add(1);
+  {
+    MutexLock lock(work_mu_);
+    ++work_.lookup_batches;
   }
 
   // Modelled cost: one round trip carrying the whole batch's keys (wire),
@@ -291,8 +255,9 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
     if (lookup_cost != nullptr) {
       *lookup_cost += cost;
     }
-    if (obs::MetricsEnabled()) {
-      Instruments().batch_cost_us->Record(cost.value());
+    {
+      MutexLock lock(work_mu_);
+      work_.batch_cost.Record(cost);
     }
     if (!delivered) {
       return std::vector<std::vector<BasePageCandidate>>(fingerprints.size());
@@ -373,6 +338,10 @@ size_t FingerprintRegistry::NumBaseSandboxes() const {
 
 RegistryStats FingerprintRegistry::stats() const {
   RegistryStats s;
+  {
+    MutexLock lock(work_mu_);
+    s = work_;
+  }
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     ReaderLock lock(shard.mu);

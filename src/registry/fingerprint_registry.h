@@ -53,6 +53,8 @@ class FingerprintRegistry : public RegistryBackend {
 
   // Deep copies (fresh locks). Used by chain-replication re-sync; the source
   // may be serving concurrent readers, the destination must be quiescent.
+  // The work counters (RegistryStats' inserts, removes, batches) are not
+  // copied: they count what this instance itself applied.
   FingerprintRegistry(const FingerprintRegistry& other);
   FingerprintRegistry& operator=(const FingerprintRegistry& other);
 
@@ -142,6 +144,10 @@ class FingerprintRegistry : public RegistryBackend {
   std::unordered_map<SandboxId, int> base_refcounts_ GUARDED_BY(sandbox_mu_);
 
   mutable std::atomic<uint64_t> lookups_{0};
+
+  // The work fields of RegistryStats; stats() adds the table fields.
+  mutable Mutex work_mu_{"registry work stats", LockRank::kMetrics};
+  RegistryStats work_ GUARDED_BY(work_mu_);
 };
 
 }  // namespace medes

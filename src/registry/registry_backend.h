@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "chunking/fingerprint.h"
+#include "common/histogram.h"
 #include "common/time.h"
 #include "common/types.h"
 #include "obs/trace_context.h"
@@ -59,6 +60,16 @@ struct RegistryStats {
   size_t num_base_sandboxes = 0;
   uint64_t lookups = 0;
   uint64_t key_hits = 0;
+  // Work applied to the table: batched lookup round trips and the modelled
+  // cost of each, base-sandbox inserts (and the chunk keys they carried) and
+  // removals. A DistributedRegistry sums inserts, insert keys and removes
+  // over every replica, since each replica applies each write it receives;
+  // its lookups never reach a replica as a batch, so the batch fields stay 0.
+  uint64_t lookup_batches = 0;
+  uint64_t inserts = 0;
+  uint64_t insert_keys = 0;
+  uint64_t removes = 0;
+  LatencyHistogram batch_cost;
   // Approximate bytes of controller memory held by the table.
   size_t ApproxMemoryBytes() const {
     return num_keys * 24 + num_entries * sizeof(PageLocation) + num_keys * 16;

@@ -1,46 +1,8 @@
 #include "registry/registry_recovery.h"
 
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace medes {
-
-namespace {
-
-struct RecoveryInstruments {
-  obs::Counter* recoveries;
-  obs::Counter* recovered;
-  obs::Counter* rejected;
-  obs::Counter* recovered_pages;
-  obs::Counter* torn_bytes;
-  obs::Counter* corrupt_records;
-};
-
-const RecoveryInstruments& Instruments() {
-  static const RecoveryInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return RecoveryInstruments{
-        .recoveries = &registry.GetCounter("medes_store_recoveries_total",
-                                           "Registry recoveries driven from the state store"),
-        .recovered = &registry.GetCounter("medes_store_recovered_sandboxes_total",
-                                          "Base sandboxes restored and validated from the store"),
-        .rejected = &registry.GetCounter(
-            "medes_store_rejected_sandboxes_total",
-            "Recovered base sandboxes rejected by live-sandbox re-validation"),
-        .recovered_pages = &registry.GetCounter("medes_store_recovered_pages_total",
-                                                "Base pages carried by restored sandboxes"),
-        .torn_bytes = &registry.GetCounter("medes_store_recovery_torn_bytes_total",
-                                           "Log bytes truncated as torn tails during recovery"),
-        .corrupt_records = &registry.GetCounter(
-            "medes_store_recovery_corrupt_records_total",
-            "Log records rejected by magic/CRC/sequence checks during recovery"),
-    };
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 RecoveryReport RecoverInto(store::StateStore& store, RegistryBackend& registry,
                            const RecoveryValidator& validate) {
@@ -61,15 +23,6 @@ RecoveryReport RecoverInto(store::StateStore& store, RegistryBackend& registry,
     report.recovered_pages += sb.pages.size();
   }
   store.SetReplaying(false);
-
-  if (obs::MetricsEnabled()) {
-    Instruments().recoveries->Add(1);
-    Instruments().recovered->Add(report.recovered_sandboxes);
-    Instruments().rejected->Add(report.rejected_sandboxes);
-    Instruments().recovered_pages->Add(report.recovered_pages);
-    Instruments().torn_bytes->Add(report.store_state.torn_bytes);
-    Instruments().corrupt_records->Add(report.store_state.corrupt_records);
-  }
   return report;
 }
 

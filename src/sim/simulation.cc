@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <limits>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace medes {
@@ -183,7 +182,7 @@ void Simulation::RunUntil(SimTime until) {
       }
       span.SetSimDuration(now_ - start_time);
       span.AddArg("fired", static_cast<int64_t>(events_processed_ - fired_before));
-      FlushObs(events_processed_ - fired_before);
+      g_total_fired.fetch_add(events_processed_ - fired_before, std::memory_order_relaxed);
       return;
     }
     ConsumeNext();
@@ -195,17 +194,7 @@ void Simulation::RunUntil(SimTime until) {
   }
   span.SetSimDuration(now_ - start_time);
   span.AddArg("fired", static_cast<int64_t>(events_processed_ - fired_before));
-  FlushObs(events_processed_ - fired_before);
-}
-
-void Simulation::FlushObs(uint64_t fired_delta) {
-  if (fired_delta == 0) {
-    return;
-  }
-  g_total_fired.fetch_add(fired_delta, std::memory_order_relaxed);
-  static obs::Counter& fired = obs::MetricsRegistry::Default().GetCounter(
-      "medes_sim_events_fired_total", "Simulation events fired across all Simulation instances");
-  fired.Add(fired_delta);
+  g_total_fired.fetch_add(events_processed_ - fired_before, std::memory_order_relaxed);
 }
 
 SimStats Simulation::stats() const {

@@ -294,8 +294,6 @@ class Simulation {
   void ConsumeNext();
   void Fire(const CalEntry& e);
 
-  void FlushObs(uint64_t fired_delta);
-
   SimulationOptions options_;
   SimTime now_;
   uint64_t next_seq_ = 1;

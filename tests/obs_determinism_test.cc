@@ -1,9 +1,11 @@
-// The observability determinism contract: for a fixed trace and platform
-// configuration, the exported artifacts (Prometheus text, Chrome trace JSON,
-// snapshot-series JSON) are byte-identical regardless of how many worker
-// threads the dedup agent uses.  Spans carry sim-time timestamps and metrics
-// are order-independent accumulations, so MEDES_THREADS must not leak into
-// any export.
+// The observability contract of a platform run: for a fixed trace and
+// platform configuration, the exported artifacts (Prometheus text, Chrome
+// trace JSON) are byte-identical regardless of how many worker threads the
+// dedup agent uses, and every published counter equals the stats-struct or
+// RunMetrics field it is published from.  Spans carry sim-time timestamps
+// and metrics are order-independent accumulations, so MEDES_THREADS must not
+// leak into any export.
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +27,6 @@ namespace {
 struct Artifacts {
   std::string prometheus;
   std::string chrome_trace;
-  std::string series;
 };
 
 PlatformOptions FastOptions(size_t agent_threads) {
@@ -39,34 +40,9 @@ PlatformOptions FastOptions(size_t agent_threads) {
   return opts;
 }
 
-// Instrument registration is process-lifetime (function-local statics at the
-// call sites), so the first run in a process registers instruments mid-run as
-// code paths first execute, while every later run sees the full set from its
-// first sample onwards.  Warm the registry once so all compared runs start
-// from identical registration state; separate processes — the real
-// MEDES_THREADS scenario — each warm up the same way and need no such step.
-void WarmUpInstruments() {
-  static const bool warmed = [] {
-    obs::SetMetricsEnabled(true);
-    obs::SetTraceEnabled(true);
-    TraceOptions topts;
-    topts.duration = 8 * kMinute;
-    topts.rate_scale = 2.0;
-    ServerlessPlatform platform(FastOptions(1));
-    platform.Run(GenerateTrace(DefaultAzurePatterns(), topts));
-    obs::SetMetricsEnabled(false);
-    obs::SetTraceEnabled(false);
-    obs::Tracer::Default().Clear();
-    return true;
-  }();
-  (void)warmed;
-}
-
 Artifacts RunAndExport(size_t agent_threads, const std::vector<TraceEvent>& trace) {
-  WarmUpInstruments();
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
   obs::SetWallClockProfiling(false);  // wall clock is outside the contract
@@ -77,10 +53,8 @@ Artifacts RunAndExport(size_t agent_threads, const std::vector<TraceEvent>& trac
   Artifacts out;
   out.prometheus = obs::PrometheusText(obs::MetricsRegistry::Default().Snapshot());
   out.chrome_trace = obs::ChromeTraceJson(obs::Tracer::Default().Drain());
-  out.series = obs::SeriesJson(obs::SnapshotSeries::Default().Points());
 
   obs::MetricsRegistry::Default().ResetValues();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(false);
   obs::SetTraceEnabled(false);
   return out;
@@ -95,16 +69,20 @@ TEST(ObsDeterminismTest, ExportsBitIdenticalAcrossThreadCounts) {
   const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
   const Artifacts serial = RunAndExport(1, trace);
 
-  // A run produces real data, not empty exports.
-  EXPECT_NE(serial.prometheus.find("medes_dedup_ops_total"), std::string::npos);
+  // A run produces real data, not empty exports: one series per module the
+  // platform publishes.
+  for (const char* series :
+       {"medes_dedup_ops_total", "medes_rdma_cache_hits_total", "medes_registry_lookups_total",
+        "medes_transport_messages_total", "medes_controller_decisions_total",
+        "medes_sim_events_fired_total", "medes_platform_requests_total"}) {
+    EXPECT_NE(serial.prometheus.find(series), std::string::npos) << series;
+  }
   EXPECT_NE(serial.chrome_trace.find("restore/criu_rebuild"), std::string::npos);
-  EXPECT_NE(serial.series.find("\"t\":"), std::string::npos);
 
   for (size_t threads : {size_t{4}, hw}) {
     const Artifacts parallel = RunAndExport(threads, trace);
     EXPECT_EQ(serial.prometheus, parallel.prometheus) << "threads=" << threads;
     EXPECT_EQ(serial.chrome_trace, parallel.chrome_trace) << "threads=" << threads;
-    EXPECT_EQ(serial.series, parallel.series) << "threads=" << threads;
   }
 }
 
@@ -120,10 +98,8 @@ struct SampledArtifacts {
 
 SampledArtifacts RunSampled(size_t agent_threads, unsigned sample_every,
                             const std::vector<TraceEvent>& trace) {
-  WarmUpInstruments();
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
   obs::SetTraceSampleEvery(sample_every);
@@ -151,7 +127,6 @@ SampledArtifacts RunSampled(size_t agent_threads, unsigned sample_every,
   }
 
   obs::MetricsRegistry::Default().ResetValues();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetTraceSampleEvery(1);
   obs::SetMetricsEnabled(false);
   obs::SetTraceEnabled(false);
@@ -204,7 +179,66 @@ TEST(ObsDeterminismTest, RepeatedRunsAreBitIdentical) {
   const Artifacts b = RunAndExport(2, trace);
   EXPECT_EQ(a.prometheus, b.prometheus);
   EXPECT_EQ(a.chrome_trace, b.chrome_trace);
-  EXPECT_EQ(a.series, b.series);
+}
+
+// Value of one published counter (or a histogram's count) in `snaps`; -1
+// when the series is missing.
+int64_t Published(const std::vector<obs::MetricSnapshot>& snaps, const std::string& name,
+                  const std::string& label_value = "") {
+  for (const obs::MetricSnapshot& snap : snaps) {
+    if (snap.name == name && snap.label_value == label_value) {
+      return snap.kind == obs::InstrumentKind::kHistogram ? static_cast<int64_t>(snap.count)
+                                                          : snap.value;
+    }
+  }
+  return -1;
+}
+
+TEST(ObsDeterminismTest, PublishedCountersEqualRunTotals) {
+  TraceOptions topts;
+  topts.duration = 5 * kMinute;
+  topts.rate_scale = 2.0;
+  const auto trace = GenerateTrace(DefaultAzurePatterns(), topts);
+  obs::MetricsRegistry::Default().ResetValues();
+  obs::SetMetricsEnabled(true);
+  ServerlessPlatform platform(FastOptions(2));
+  const RunMetrics m = platform.Run(trace);
+  const std::vector<obs::MetricSnapshot> snaps = obs::MetricsRegistry::Default().Snapshot();
+  obs::MetricsRegistry::Default().ResetValues();
+  obs::SetMetricsEnabled(false);
+
+  // The run exercised every compared path, so equality is not vacuous.
+  ASSERT_GT(m.dedup_ops, 0u);
+  ASSERT_GT(m.restores, 0u);
+  ASSERT_GT(m.rdma.cache_hits, 0u);
+  ASSERT_GT(m.registry.lookups, 0u);
+
+  auto as_int = [](uint64_t v) { return static_cast<int64_t>(v); };
+  EXPECT_EQ(Published(snaps, "medes_dedup_ops_total"), as_int(m.dedup_ops));
+  EXPECT_EQ(Published(snaps, "medes_restore_ops_total"), as_int(m.restores));
+  EXPECT_EQ(Published(snaps, "medes_bases_designated_total"), as_int(m.base_designations));
+  EXPECT_EQ(Published(snaps, "medes_rdma_cache_hits_total"), as_int(m.rdma.cache_hits));
+  EXPECT_EQ(Published(snaps, "medes_rdma_cache_misses_total"), as_int(m.rdma.cache_misses));
+  EXPECT_EQ(Published(snaps, "medes_rdma_cache_evictions_total"),
+            as_int(m.rdma.cache_evictions));
+  EXPECT_EQ(Published(snaps, "medes_registry_lookups_total"), as_int(m.registry.lookups));
+  EXPECT_EQ(Published(snaps, "medes_sim_events_fired_total"),
+            as_int(platform.sim().stats().fired));
+  for (size_t t = 0; t < kNumMessageTypes; ++t) {
+    const std::string type = ToString(static_cast<MessageType>(t));
+    const MessageStats& ms = m.transport.by_type[t];
+    EXPECT_EQ(Published(snaps, "medes_transport_messages_total", type), as_int(ms.messages))
+        << type;
+    EXPECT_EQ(Published(snaps, "medes_transport_bytes_total", type), as_int(ms.bytes)) << type;
+    EXPECT_EQ(Published(snaps, "medes_transport_dropped_total", type), as_int(ms.dropped))
+        << type;
+  }
+  int64_t requests = 0;
+  for (StartType start : {StartType::kWarm, StartType::kDedup, StartType::kCold}) {
+    requests += Published(snaps, "medes_platform_requests_total", ToString(start));
+  }
+  EXPECT_EQ(requests, as_int(m.requests.size()));
+  EXPECT_EQ(Published(snaps, "medes_platform_e2e_us"), as_int(m.requests.size()));
 }
 
 TEST(ObsDeterminismTest, SpanCoverageIncludesAllPipelineStages) {
@@ -237,10 +271,8 @@ TEST(ObsDeterminismTest, EagerModeEmitsBaseReadSpans) {
   topts.duration = 8 * kMinute;
   topts.rate_scale = 2.0;
   const auto trace = GenerateTrace(DefaultAzurePatterns(), topts);
-  WarmUpInstruments();
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
   obs::SetWallClockProfiling(false);
@@ -250,7 +282,6 @@ TEST(ObsDeterminismTest, EagerModeEmitsBaseReadSpans) {
   platform.Run(trace);
   const std::string chrome_trace = obs::ChromeTraceJson(obs::Tracer::Default().Drain());
   obs::MetricsRegistry::Default().ResetValues();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(false);
   obs::SetTraceEnabled(false);
   for (const char* stage :

@@ -39,12 +39,10 @@ class ObsTest : public ::testing::Test {
     SetWallClockProfiling(false);
     MetricsRegistry::Default().ResetValues();
     Tracer::Default().Clear();
-    SnapshotSeries::Default().Clear();
   }
   void TearDown() override {
     MetricsRegistry::Default().ResetValues();
     Tracer::Default().Clear();
-    SnapshotSeries::Default().Clear();
     SetMetricsEnabled(false);
     SetTraceEnabled(false);
   }
@@ -82,6 +80,16 @@ TEST_F(ObsTest, HistogramBucketsAndSum) {
   EXPECT_EQ(h.BucketCount(2), 2u);
   EXPECT_EQ(h.TotalCount(), 4u);
   EXPECT_EQ(h.Sum(), 7);
+
+  // Merge adds a stats struct's tally bucket by bucket, sum included.
+  LatencyHistogram tally;
+  tally.Record(SimDuration{3});
+  tally.Record(SimDuration{100});
+  h.Merge(tally);
+  EXPECT_EQ(h.BucketCount(2), 3u);
+  EXPECT_EQ(h.BucketCount(Pow2BucketIndex(100)), 1u);
+  EXPECT_EQ(h.TotalCount(), 6u);
+  EXPECT_EQ(h.Sum(), 110);
 }
 
 TEST_F(ObsTest, SnapshotIsSortedByNameAndLabel) {
@@ -222,30 +230,6 @@ TEST_F(ObsTest, MetricsJsonShape) {
   const std::string json = MetricsJson(registry.Snapshot());
   EXPECT_NE(json.find("{\"name\":\"obs_test_json_total\",\"kind\":\"counter\",\"value\":7}"),
             std::string::npos);
-}
-
-TEST_F(ObsTest, SnapshotSeriesSamplesCountersAndGauges) {
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  registry.GetCounter("obs_test_series_total", "help").Add(1);
-  SnapshotSeries::Default().Sample(SimTime{1000});
-  registry.GetCounter("obs_test_series_total", "help").Add(2);
-  SnapshotSeries::Default().Sample(SimTime{2000});
-  const auto points = SnapshotSeries::Default().Points();
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].t, SimTime{1000});
-  EXPECT_EQ(points[1].t, SimTime{2000});
-  auto value_of = [](const SnapshotSeries::Point& p, const std::string& key) -> int64_t {
-    for (const auto& [k, v] : p.values) {
-      if (k == key) {
-        return v;
-      }
-    }
-    return -1;
-  };
-  EXPECT_EQ(value_of(points[0], "obs_test_series_total"), 1);
-  EXPECT_EQ(value_of(points[1], "obs_test_series_total"), 3);
-  const std::string json = SeriesJson(points);
-  EXPECT_NE(json.find("{\"t\":1000,\"values\":{"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

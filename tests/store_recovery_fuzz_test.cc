@@ -52,7 +52,9 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) 
   // medes-lint: allow(direct-filesystem) fuzz harness rewrites the store's log
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  if (!bytes.empty()) {  // an empty vector's data() may be null, which fwrite forbids
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+  }
   std::fclose(f);
 }
 

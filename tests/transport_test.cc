@@ -99,6 +99,7 @@ TEST(LatencyHistogramTest, PowerOfTwoBuckets) {
   EXPECT_EQ(h.Count(1), 1u);
   EXPECT_EQ(h.Count(2), 2u);
   EXPECT_EQ(h.TotalCount(), 4u);
+  EXPECT_EQ(h.Sum(), SimDuration{7});
 }
 
 // ---- Transport sends and stats -------------------------------------------
