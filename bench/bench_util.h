@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -235,10 +236,12 @@ inline void WriteMetadata(JsonWriter& w, std::string_view bench_name) {
   const char* threads_env = std::getenv("MEDES_THREADS");
   const double wall_s = WallSeconds();
   const uint64_t fired = TotalSimEventsFired();
+  // The tier the run's kernels were bound to; "unbound" if none ran.
+  const std::optional<kernels::Tier> tier = kernels::BoundTier();
   w.BeginObject("metadata")
       .Field("bench", bench_name)
       .Field("medes_threads", threads_env != nullptr ? threads_env : "default")
-      .Field("kernel_tier", kernels::TierName(kernels::MaxSupportedTier()))
+      .Field("kernel_tier", tier.has_value() ? kernels::TierName(*tier) : "unbound")
       .Field("sanitizer", SanitizerName())
       .Field("trace_enabled", obs::TraceEnabled())
       .Field("metrics_enabled", obs::MetricsEnabled())

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "common/kernels/memops.h"
 #include "common/kernels/rolling_kernels.h"
@@ -17,11 +18,14 @@ namespace medes::kernels {
 namespace {
 
 // Tier is a process-wide mode switch flipped only by tests/benchmarks (and
-// once lazily at startup); relaxed ordering is enough because every variant
-// is bit-identical — a racing reader at worst runs one call at the old tier.
+// once lazily, by the first dispatched call); every variant is bit-identical,
+// so a racing reader at worst runs one call at the old tier. `g_tier_bound`
+// is published with release after the tables are written: a thread that
+// reads it as true then sees bound tables, never a kernel's resolver.
 std::atomic<Tier> g_tier{Tier::kScalar};
 std::atomic<bool> g_tier_bound{false};
 
+#if !defined(MEDES_FORCE_SCALAR)
 bool EnvForcesScalar() {
   const char* v = std::getenv("MEDES_FORCE_SCALAR");
   if (v == nullptr || v[0] == '\0') {
@@ -29,16 +33,17 @@ bool EnvForcesScalar() {
   }
   return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 && std::strcmp(v, "false") != 0;
 }
+#endif
 
 Tier Bind(Tier tier) {
   if (tier > MaxSupportedTier()) {
     tier = MaxSupportedTier();
   }
   g_tier.store(tier, std::memory_order_relaxed);
-  g_tier_bound.store(true, std::memory_order_relaxed);
   BindSha1Kernels(tier);
   BindRollingKernels(tier);
   BindMemopsKernels(tier);
+  g_tier_bound.store(true, std::memory_order_release);
   return tier;
 }
 
@@ -93,8 +98,15 @@ Tier MaxSupportedTier() {
 }
 
 Tier ActiveTier() {
-  if (!g_tier_bound.load(std::memory_order_relaxed)) {
+  if (!g_tier_bound.load(std::memory_order_acquire)) {
     return ResetTierFromEnvironment();
+  }
+  return g_tier.load(std::memory_order_relaxed);
+}
+
+std::optional<Tier> BoundTier() {
+  if (!g_tier_bound.load(std::memory_order_acquire)) {
+    return std::nullopt;
   }
   return g_tier.load(std::memory_order_relaxed);
 }

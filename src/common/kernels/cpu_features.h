@@ -2,9 +2,11 @@
 //
 // The per-page hot path (chunk SHA-1, rolling-hash scan, delta match
 // extension, patch decode) is implemented several times at increasing
-// ISA levels. At startup — or whenever a test forces a tier — every
-// dispatched kernel entry point is bound to the best variant the CPU
-// supports:
+// ISA levels. Every dispatch pointer starts at a resolver: the first
+// dispatched call of any kernel binds all of them (ActiveTier) to the best
+// variant the CPU supports, then forwards. Binding needs no static
+// initialiser, so it holds in any link order; a test or benchmark may
+// rebind at any time with ForceTier. The tiers:
 //
 //   kScalar  pure byte-at-a-time reference code. The other tiers are
 //            verified bit-identical against it (tests/kernel_equivalence).
@@ -23,10 +25,16 @@
 // Every variant of every kernel is required to produce bit-identical
 // output (same digests, same rolling-hash words, same match lengths, same
 // delta bytes) — tier selection may never change observable behaviour.
+//
+// Every AVX2 variant returns with the upper YMM state clean: vzeroupper on
+// every exit, tail calls included (tests/kernel_equivalence_test). A dirty
+// upper state makes later legacy-SSE code — the simulator's double
+// arithmetic — pay a transition penalty on every instruction.
 #ifndef MEDES_COMMON_KERNELS_CPU_FEATURES_H_
 #define MEDES_COMMON_KERNELS_CPU_FEATURES_H_
 
 #include <cstdint>
+#include <optional>
 
 namespace medes::kernels {
 
@@ -52,9 +60,13 @@ const char* TierName(Tier tier);
 // Highest tier this binary + CPU can run (ignores MEDES_FORCE_SCALAR).
 Tier MaxSupportedTier();
 
-// Currently bound tier. Lazily initialised from cpuid and the
-// MEDES_FORCE_SCALAR environment/build knob on first use.
+// Currently bound tier. Binds from cpuid and the MEDES_FORCE_SCALAR
+// environment/build knob if nothing is bound yet.
 Tier ActiveTier();
+
+// The bound tier, or nullopt before the first dispatched call (or
+// ActiveTier/ForceTier). Never binds: reporting it changes nothing.
+std::optional<Tier> BoundTier();
 
 // True when the SHA-NI chunk-hash variant is compiled in, supported by the
 // CPU and not disabled by the active tier (SHA-NI engages at >= kSse42).

@@ -128,6 +128,9 @@ __attribute__((target("avx2"))) size_t MatchForwardAvx2(const uint8_t* a, const 
     }
     len += 32;
   }
+  // Every block matched: no early return cleared the upper state, and the
+  // compiler emits no vzeroupper before this tail call.
+  _mm256_zeroupper();
   return len + MatchForwardSwar(a + len, b + len, max - len);
 }
 
@@ -143,6 +146,7 @@ __attribute__((target("avx2"))) size_t MatchBackwardAvx2(const uint8_t* a_end,
     }
     len += 32;
   }
+  _mm256_zeroupper();
   return len + MatchBackwardSwar(a_end - len, b_end - len, max - len);
 }
 
@@ -189,9 +193,26 @@ namespace {
 using MatchFn = size_t (*)(const uint8_t*, const uint8_t*, size_t);
 using EqualFn = bool (*)(const uint8_t*, const uint8_t*, size_t);
 
-std::atomic<MatchFn> g_match_forward{&MatchForwardScalar};
-std::atomic<MatchFn> g_match_backward{&MatchBackwardScalar};
-std::atomic<EqualFn> g_mem_equal{&MemEqualScalar};
+// Each pointer starts at a resolver that binds every kernel (ActiveTier),
+// then forwards through the freshly bound pointer.
+size_t ResolveMatchForward(const uint8_t* a, const uint8_t* b, size_t max) {
+  ActiveTier();
+  return MatchForward(a, b, max);
+}
+
+size_t ResolveMatchBackward(const uint8_t* a_end, const uint8_t* b_end, size_t max) {
+  ActiveTier();
+  return MatchBackward(a_end, b_end, max);
+}
+
+bool ResolveMemEqual(const uint8_t* a, const uint8_t* b, size_t len) {
+  ActiveTier();
+  return MemEqual(a, b, len);
+}
+
+std::atomic<MatchFn> g_match_forward{&ResolveMatchForward};
+std::atomic<MatchFn> g_match_backward{&ResolveMatchBackward};
+std::atomic<EqualFn> g_mem_equal{&ResolveMemEqual};
 
 }  // namespace
 

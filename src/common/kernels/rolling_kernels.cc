@@ -79,7 +79,14 @@ namespace {
 
 using BulkFn = void (*)(const uint8_t*, size_t, size_t, uint64_t, uint64_t*);
 
-std::atomic<BulkFn> g_bulk{&RollingBulkScalar};
+// Starts at a resolver that binds every kernel (ActiveTier), then forwards.
+void ResolveRollingBulk(const uint8_t* data, size_t n, size_t window, uint64_t pow_w1,
+                        uint64_t* out) {
+  ActiveTier();
+  RollingBulk(data, n, window, pow_w1, out);
+}
+
+std::atomic<BulkFn> g_bulk{&ResolveRollingBulk};
 
 }  // namespace
 

@@ -371,9 +371,26 @@ using CompressFn = void (*)(uint32_t[5], const uint8_t*);
 using Chunk64Fn = void (*)(const uint8_t*, uint32_t[5]);
 using BatchFn = void (*)(const uint8_t* const*, size_t, uint32_t (*)[5]);
 
-std::atomic<CompressFn> g_compress{&Sha1CompressScalar};
-std::atomic<Chunk64Fn> g_chunk64{&Sha1Chunk64Scalar};
-std::atomic<BatchFn> g_batch{&Sha1Chunk64BatchScalar};
+// Each pointer starts at a resolver that binds every kernel (ActiveTier),
+// then forwards through the freshly bound pointer.
+void ResolveCompress(uint32_t state[5], const uint8_t* block) {
+  ActiveTier();
+  Sha1Compress(state, block);
+}
+
+void ResolveChunk64(const uint8_t* chunk, uint32_t out_state[5]) {
+  ActiveTier();
+  Sha1Chunk64(chunk, out_state);
+}
+
+void ResolveBatch(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
+  ActiveTier();
+  Sha1Chunk64Batch(chunks, n, out_state);
+}
+
+std::atomic<CompressFn> g_compress{&ResolveCompress};
+std::atomic<Chunk64Fn> g_chunk64{&ResolveChunk64};
+std::atomic<BatchFn> g_batch{&ResolveBatch};
 
 }  // namespace
 

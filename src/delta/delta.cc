@@ -1,6 +1,7 @@
 #include "delta/delta.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/hash.h"
@@ -50,6 +51,13 @@ constexpr uint8_t kOpCopy = 0x01;
 // bucketed table with a small fixed depth (newest offsets win). The backing
 // store is borrowed from the caller (DeltaScratch) so repeated encodes reuse
 // its capacity.
+//
+// In front of the table sits a prefilter: one bit per indexed seed, keyed by
+// a cheap multiply hash of the seed's bytes. Most unmatched target positions
+// find their bit clear and skip the byte-wise FNV-1a hash and the bucket
+// probe. Equal seeds set equal bits, so the filter has no false negatives,
+// and every candidate still has to pass MemEqual: patches are byte-identical
+// to an encode without it.
 class SeedIndex {
  public:
   SeedIndex(std::span<const uint8_t> base, size_t seed_len, size_t stride, size_t depth,
@@ -68,49 +76,76 @@ class SeedIndex {
     mask_ = cap - 1;
     slots_.assign(cap * depth_, kEmpty);
     for (size_t i = 0; i + seed_len <= base.size(); i += stride) {
-      Insert(HashSeed(base.data() + i), i);
+      const uint8_t* seed = base.data() + i;
+      size_t bit = FilterBit(seed);
+      filter_[bit / 64] |= uint64_t{1} << (bit % 64);
+      Insert(HashSeed(seed), i);
     }
   }
 
-  // Finds the base offset whose seed matches the one at `p`, preferring the
-  // longest forward extension. Returns npos when no candidate matches.
   static constexpr size_t npos = static_cast<size_t>(-1);
 
-  size_t FindBest(std::span<const uint8_t> target, size_t t_off) const {
+  struct Match {
+    size_t base_off = npos;  // npos when no candidate matches
+    size_t forward = 0;      // bytes matching forward from base_off / t_off
+  };
+
+  // Finds the base offset whose seed matches the one at `t_off`, preferring
+  // the longest forward extension, and returns that extension's length.
+  Match FindBest(std::span<const uint8_t> target, size_t t_off) const {
+    Match best;
     if (slots_.empty() || t_off + seed_len_ > target.size()) {
-      return npos;
+      return best;
     }
-    uint64_t h = HashSeed(target.data() + t_off);
-    size_t bucket = (h & mask_) * depth_;
-    size_t best = npos;
-    size_t best_len = 0;
+    const uint8_t* seed = target.data() + t_off;
+    size_t bit = FilterBit(seed);
+    if (((filter_[bit / 64] >> (bit % 64)) & 1) == 0) {
+      return best;
+    }
+    size_t bucket = (HashSeed(seed) & mask_) * depth_;
     for (size_t d = 0; d < depth_; ++d) {
       size_t cand = slots_[bucket + d];
       if (cand == kEmpty) {
         break;
       }
-      if (!kernels::MemEqual(base_.data() + cand, target.data() + t_off, seed_len_)) {
+      if (!kernels::MemEqual(base_.data() + cand, seed, seed_len_)) {
         continue;
       }
-      size_t len = ExtendForward(target, t_off, cand);
-      if (len > best_len) {
-        best_len = len;
-        best = cand;
+      size_t max = std::min(base_.size() - cand, target.size() - t_off);
+      size_t len = kernels::MatchForward(base_.data() + cand, seed, max);
+      if (len > best.forward) {
+        best = {cand, len};
       }
     }
     return best;
   }
 
-  size_t ExtendForward(std::span<const uint8_t> target, size_t t_off, size_t b_off) const {
-    size_t max = std::min(base_.size() - b_off, target.size() - t_off);
-    return kernels::MatchForward(base_.data() + b_off, target.data() + t_off, max);
-  }
-
  private:
   static constexpr size_t kEmpty = static_cast<size_t>(-1);
+  static constexpr size_t kFilterBits = 8192;
 
   uint64_t HashSeed(const uint8_t* p) const {
     return MixBits(Fnv1a64({p, seed_len_}));
+  }
+
+  // Filter key: two loads covering up to the seed's first 16 bytes (they
+  // overlap for seeds under 16), never a byte past the seed's end.
+  size_t FilterBit(const uint8_t* p) const {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    if (seed_len_ >= 8) {
+      std::memcpy(&lo, p, 8);
+      std::memcpy(&hi, p + std::min<size_t>(seed_len_, 16) - 8, 8);
+    } else {
+      uint32_t lo32 = 0;
+      uint32_t hi32 = 0;
+      std::memcpy(&lo32, p, 4);
+      std::memcpy(&hi32, p + seed_len_ - 4, 4);
+      lo = lo32;
+      hi = hi32;
+    }
+    uint64_t h = lo * 0x9e3779b97f4a7c15ull ^ hi * 0xc2b2ae3d27d4eb4full;
+    return static_cast<size_t>(h >> 51);  // top 13 bits: [0, kFilterBits)
   }
 
   void Insert(uint64_t h, size_t offset) {
@@ -127,6 +162,7 @@ class SeedIndex {
   size_t depth_;
   size_t mask_ = 0;
   std::vector<size_t>& slots_;
+  std::array<uint64_t, kFilterBits / 64> filter_{};
 };
 
 void EmitAdd(std::vector<uint8_t>& out, std::span<const uint8_t> literal) {
@@ -195,18 +231,17 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
   size_t pending = 0;  // start of unmatched literal run
   size_t pos = 0;
   while (pos + options.seed_length <= target.size()) {
-    size_t cand = index.FindBest(target, pos);
-    if (cand == SeedIndex::npos) {
+    SeedIndex::Match m = index.FindBest(target, pos);
+    if (m.base_off == SeedIndex::npos) {
       ++pos;
       continue;
     }
-    size_t fwd = index.ExtendForward(target, pos, cand);
     // Extend backwards into the pending literal run.
-    size_t back = kernels::MatchBackward(base.data() + cand, target.data() + pos,
-                                         std::min(pos - pending, cand));
-    size_t match_off = cand - back;
+    size_t back = kernels::MatchBackward(base.data() + m.base_off, target.data() + pos,
+                                         std::min(pos - pending, m.base_off));
+    size_t match_off = m.base_off - back;
     size_t match_pos = pos - back;
-    size_t match_len = fwd + back;
+    size_t match_len = m.forward + back;
     if (match_len < options.min_match) {
       ++pos;
       continue;

@@ -16,7 +16,10 @@
 // matches that.
 //
 // Hot-path notes: seed comparison and match extension run through the
-// dispatched word/vector kernels (common/kernels/memops.h); DeltaDecode
+// dispatched word/vector kernels (common/kernels/memops.h). A bitmap
+// prefilter over the base's seeds lets most unmatched target positions skip
+// the seed hash and bucket probe; it has no false negatives, so patches are
+// the bytes the unfiltered search would produce. DeltaDecode
 // validates the instruction stream in one pass and then memcpys into a
 // buffer pre-sized from the header instead of growing it op by op. The
 // *Into overloads write into caller-owned buffers and accept an optional

@@ -47,7 +47,7 @@ struct RdmaOptions {
   // authoritative and these are ignored.
   SimDuration per_read_latency{3};            // us, one-sided read setup
   double bandwidth_gbps = 10.0;                // NIC line rate
-  SimDuration local_per_read_latency;      // node-local copies
+  SimDuration local_per_read_latency{};    // node-local copies
   double local_bandwidth_gbps = 80.0;          // DRAM-ish copy rate
   // Base-page read cache capacity in pages; 0 disables the cache.
   size_t page_cache_capacity = 0;

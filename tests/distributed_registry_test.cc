@@ -61,7 +61,7 @@ TEST(DistributedRegistryTest, ShardingSpreadsKeys) {
   dist.InsertBaseSandbox(NodeId{0}, SandboxId{100}, RandomFingerprints(200, 3));
   // Probe many random fingerprints to exercise lookups on all shards.
   for (const auto& fp : RandomFingerprints(200, 3)) {
-    dist.FindBasePage(fp, NodeId{0});
+    (void)dist.FindBasePage(fp, NodeId{0});
   }
   const auto& stats = dist.distributed_stats();
   size_t active_shards = 0;

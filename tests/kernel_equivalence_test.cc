@@ -8,6 +8,10 @@
 #include <cstdlib>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include "common/kernels/cpu_features.h"
 #include "common/kernels/memops.h"
 #include "common/kernels/rolling_kernels.h"
@@ -71,13 +75,19 @@ TEST_F(KernelEquivalenceTest, ForceScalarEnvironmentKnob) {
   EXPECT_EQ(kernels::ResetTierFromEnvironment(), Tier::kScalar);
   EXPECT_EQ(kernels::ActiveTier(), Tier::kScalar);
 
-  // "0" / "off" / "false" mean *not* forced.
+  // "0" / "off" / "false" mean *not* forced by the environment; the build
+  // knob still pins scalar.
+#if defined(MEDES_FORCE_SCALAR)
+  const Tier unforced = Tier::kScalar;
+#else
+  const Tier unforced = kernels::MaxSupportedTier();
+#endif
   for (const char* off : {"0", "off", "false", ""}) {
     setenv("MEDES_FORCE_SCALAR", off, 1);
-    EXPECT_EQ(kernels::ResetTierFromEnvironment(), kernels::MaxSupportedTier()) << off;
+    EXPECT_EQ(kernels::ResetTierFromEnvironment(), unforced) << off;
   }
   unsetenv("MEDES_FORCE_SCALAR");
-  EXPECT_EQ(kernels::ResetTierFromEnvironment(), kernels::MaxSupportedTier());
+  EXPECT_EQ(kernels::ResetTierFromEnvironment(), unforced);
 }
 
 TEST_F(KernelEquivalenceTest, Sha1SingleBlockAllTiers) {
@@ -315,6 +325,134 @@ TEST_F(KernelEquivalenceTest, DeltaBytesIdenticalAcrossTiers) {
     EXPECT_EQ(DeltaEncode(base, target), ref_delta) << kernels::TierName(tier);
     EXPECT_EQ(DeltaDecode(base, ref_delta), target) << kernels::TierName(tier);
   }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// XINUSE (XGETBV with ECX=1) bit 2 is set while the upper halves of the YMM
+// registers are not in their initial, all-zero state. Readable only when
+// CPUID.(EAX=0Dh,ECX=1):EAX[2] is set; VZEROUPPER needs AVX enabled by the OS.
+bool UpperYmmStateReadable() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 || (ecx & bit_OSXSAVE) == 0 ||
+      (ecx & bit_AVX) == 0 || __get_cpuid_max(0, nullptr) < 0xD) {
+    return false;
+  }
+  __cpuid_count(0xD, 1, eax, ebx, ecx, edx);
+  return (eax & (1u << 2)) != 0;
+}
+
+bool UpperYmmInUse() {
+  uint32_t eax = 0, edx = 0;
+  __asm__ volatile("xgetbv" : "=a"(eax), "=d"(edx) : "c"(1));
+  return (eax & (1u << 2)) != 0;
+}
+
+// Runs `call` from a clean upper-YMM state; true if it returned dirty.
+template <typename F>
+bool LeavesUpperYmmDirty(F&& call) {
+  __asm__ volatile("vzeroupper" ::: "memory");
+  call();
+  return UpperYmmInUse();
+}
+
+// The kernels with vector variants, either dispatched or one named tier.
+struct VectorKernels {
+  const char* name;
+  size_t (*match_forward)(const uint8_t*, const uint8_t*, size_t);
+  size_t (*match_backward)(const uint8_t*, const uint8_t*, size_t);
+  bool (*mem_equal)(const uint8_t*, const uint8_t*, size_t);
+  void (*chunk64_batch)(const uint8_t* const*, size_t, uint32_t (*)[5]);
+};
+
+void ExpectUpperYmmClean(const VectorKernels& k) {
+  constexpr size_t kMaxLen = 300;
+  auto a = RandomBytes(kMaxLen, 600);
+  std::vector<uint8_t> b = a;
+  volatile size_t sink = 0;
+  size_t dirty_fwd = 0, dirty_back = 0, dirty_eq = 0;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    for (bool equal : {true, false}) {
+      // Unequal inputs differ in the last byte each scan reaches, so every
+      // full-width block matches before the mismatch.
+      const size_t fwd_diff = len - 1, back_diff = kMaxLen - len;
+      if (!equal && len > 0) {
+        b[fwd_diff] ^= 1;
+      }
+      dirty_fwd += LeavesUpperYmmDirty([&] { sink = k.match_forward(a.data(), b.data(), len); });
+      dirty_eq += LeavesUpperYmmDirty([&] { sink = k.mem_equal(a.data(), b.data(), len); });
+      if (!equal && len > 0) {
+        b[fwd_diff] ^= 1;
+        b[back_diff] ^= 1;
+      }
+      dirty_back += LeavesUpperYmmDirty([&] {
+        sink = k.match_backward(a.data() + kMaxLen, b.data() + kMaxLen, len);
+      });
+      if (!equal && len > 0) {
+        b[back_diff] ^= 1;
+      }
+    }
+  }
+  EXPECT_EQ(dirty_fwd, 0u) << k.name << " MatchForward";
+  EXPECT_EQ(dirty_back, 0u) << k.name << " MatchBackward";
+  EXPECT_EQ(dirty_eq, 0u) << k.name << " MemEqual";
+
+  constexpr size_t kMaxChunks = 17;
+  auto chunks = RandomBytes(64 * kMaxChunks, 601);
+  std::vector<const uint8_t*> ptrs(kMaxChunks);
+  for (size_t i = 0; i < kMaxChunks; ++i) {
+    ptrs[i] = chunks.data() + i * 64;
+  }
+  StateArray states(kMaxChunks);
+  size_t dirty_batch = 0;
+  for (size_t n = 1; n <= kMaxChunks; ++n) {
+    dirty_batch += LeavesUpperYmmDirty([&] { k.chunk64_batch(ptrs.data(), n, states.data()); });
+  }
+  EXPECT_EQ(dirty_batch, 0u) << k.name << " Sha1Chunk64Batch";
+  (void)sink;
+}
+
+#endif  // x86
+
+// Every kernel returns with the upper YMM state clean, at every tier and for
+// the AVX2 variants called directly (a SHA-NI host never binds the AVX2
+// batch). A dirty upper state slows every later legacy-SSE instruction,
+// which is most of the simulator's double arithmetic.
+TEST_F(KernelEquivalenceTest, KernelsLeaveUpperYmmStateClean) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!UpperYmmStateReadable()) {
+    GTEST_SKIP() << "XGETBV(ECX=1) not supported";
+  }
+  for (Tier tier : BindableTiers()) {
+    kernels::ForceTier(tier);
+    ExpectUpperYmmClean({kernels::TierName(tier), kernels::MatchForward, kernels::MatchBackward,
+                         kernels::MemEqual, kernels::Sha1Chunk64Batch});
+
+    auto data = RandomBytes(4096, 602);
+    std::vector<uint64_t> hashes(data.size());
+    size_t dirty_rolling = 0;
+    for (size_t n : {size_t{48}, size_t{49}, size_t{300}, size_t{4096}}) {
+      dirty_rolling += LeavesUpperYmmDirty([&] {
+        kernels::RollingBulk(data.data(), n, 48, kernels::kRollingBase, hashes.data());
+      });
+    }
+    EXPECT_EQ(dirty_rolling, 0u) << kernels::TierName(tier) << " RollingBulk";
+
+    uint32_t state[5] = {};
+    size_t dirty_compress = 0;
+    for (size_t i = 0; i < 4; ++i) {
+      dirty_compress +=
+          LeavesUpperYmmDirty([&] { kernels::Sha1Compress(state, data.data() + 64 * i); });
+    }
+    EXPECT_EQ(dirty_compress, 0u) << kernels::TierName(tier) << " Sha1Compress";
+  }
+  if (kernels::DetectCpuFeatures().avx2 && kernels::Avx2Compiled()) {
+    ExpectUpperYmmClean({"avx2 (direct)", kernels::MatchForwardAvx2, kernels::MatchBackwardAvx2,
+                         kernels::MemEqualAvx2, kernels::Sha1Chunk64BatchAvx2});
+  }
+#else
+  GTEST_SKIP() << "x86-only state check";
+#endif
 }
 
 }  // namespace

@@ -110,8 +110,8 @@ TEST(RegistryTest, RefcountLifecycle) {
 TEST(RegistryTest, StatsTrackLookups) {
   FingerprintRegistry registry;
   registry.InsertBaseSandbox(NodeId{0}, SandboxId{100}, {Fp({1, 2})});
-  registry.FindBasePage(Fp({1, 9}), NodeId{0});
-  registry.FindBasePage(Fp({8, 9}), NodeId{0});
+  (void)registry.FindBasePage(Fp({1, 9}), NodeId{0});
+  (void)registry.FindBasePage(Fp({8, 9}), NodeId{0});
   RegistryStats stats = registry.stats();
   EXPECT_EQ(stats.lookups, 2u);
   EXPECT_EQ(stats.key_hits, 1u);
